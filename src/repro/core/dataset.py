@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -42,14 +42,18 @@ class StudyWindow:
     study_start: float
     total_days: int
     detailed_days: int
+    #: Window bounds, derived once: ``in_detailed`` runs per record.
+    study_end: float = field(init=False, compare=False, repr=False)
+    detailed_start: float = field(init=False, compare=False, repr=False)
 
-    @property
-    def study_end(self) -> float:
-        return self.study_start + self.total_days * SECONDS_PER_DAY
-
-    @property
-    def detailed_start(self) -> float:
-        return self.study_end - self.detailed_days * SECONDS_PER_DAY
+    def __post_init__(self) -> None:
+        study_end = self.study_start + self.total_days * SECONDS_PER_DAY
+        object.__setattr__(self, "study_end", study_end)
+        object.__setattr__(
+            self,
+            "detailed_start",
+            study_end - self.detailed_days * SECONDS_PER_DAY,
+        )
 
     @property
     def detailed_first_day(self) -> int:

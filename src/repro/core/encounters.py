@@ -21,19 +21,27 @@ event-count-agnostic edge set.  Only the detailed window is joined — the
 rest of the study has no per-transaction proxy rows to correlate
 against.
 
-The join as a sharded inverted index
-------------------------------------
-The cell index is an inverted index ``(sector, bucket) → subscriber →
-clipped intervals``.  Each cell is joined independently (all pairs in
-the cell, interval-list intersection), so the join partitions perfectly
-by *sector*: worker ``s`` of ``n`` builds the index only for sectors
-with ``crc32(sector_id) % n == s`` and never sees another worker's
-cells.  An encounter event belongs to exactly one cell, hence exactly
-one worker — per-shard event counts merge by plain integer addition and
-partner sets by union, both in the bit-exact tier of the merge contract
-(:mod:`repro.core.parallel`).  Peak memory per worker is the pending
-map (one entry per live subscriber) plus that worker's sector slice of
-the index.
+The join as a sharded per-sector sweep
+--------------------------------------
+:func:`join_intervals` sweeps each sector's intervals in start order
+against the still-open ones; every overlap of two subscribers gives one
+intersection ``[s, e)``.  Its *interior* buckets are covered whole, and
+since a subscriber's own intervals never overlap no other piece of that
+pair can reach them, so each is one event.  Its two *edge* buckets add
+``min(e, bucket_end) − max(s, bucket_start)`` into a per-``(pair,
+bucket)`` sum that is one event if it reaches the threshold.  This is
+bit-exact against the cell definition: ``max``/``min`` clipping is
+exact, buckets use the same ``study_start + k * BUCKET_SECONDS`` grid
+and half-open end rule, and a pair's intersections are found in time
+order, so each cell sums the same pieces in the same order from
+``0.0``.  Working state is one sector's open intervals and edge sums,
+never one entry per ``(sector, bucket)`` cell.
+
+The join partitions by *sector*: worker ``s`` of ``n`` keeps only
+sectors with ``crc32(sector_id) % n == s``.  An event belongs to exactly
+one cell, hence one worker, so per-pair counts merge by integer
+addition (bit-exact tier of :mod:`repro.core.parallel`); partner sets
+and per-subscriber totals are derived from them at finalize.
 
 :func:`stream_dwell_intervals` reproduces the batch timelines without
 materialising them: over the canonically time-ordered MME stream it
@@ -46,6 +54,7 @@ events keep MME record order on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 from zlib import crc32
 
@@ -70,8 +79,7 @@ __all__ = [
     "MIN_OVERLAP_SECONDS",
     "EncountersResult",
     "analyze_encounters",
-    "build_cell_index",
-    "join_cells",
+    "join_intervals",
     "sector_shard",
     "stream_dwell_intervals",
     "summarize_encounters",
@@ -89,105 +97,98 @@ def sector_shard(sector_id: str, shards: int) -> int:
     return crc32(sector_id.encode("utf-8")) % shards
 
 
-def _bucket_clips(
-    start: float, end: float, study_start: float
-) -> Iterator[tuple[int, float, float]]:
-    """Clip ``[start, end)`` into ``(bucket, clip_start, clip_end)`` runs.
-
-    Buckets index :data:`BUCKET_SECONDS` windows relative to the study
-    start.  An interval ending exactly on a bucket edge does *not* enter
-    the next bucket (intervals are half-open).
-    """
-    first = int((start - study_start) // BUCKET_SECONDS)
-    last = int((end - study_start) // BUCKET_SECONDS)
-    if (end - study_start) % BUCKET_SECONDS == 0.0:
-        last -= 1
-    for bucket in range(first, last + 1):
-        bucket_start = study_start + bucket * BUCKET_SECONDS
-        bucket_end = bucket_start + BUCKET_SECONDS
-        yield bucket, max(start, bucket_start), min(end, bucket_end)
-
-
-def build_cell_index(
+def join_intervals(
     intervals: Iterable[tuple[str, str, float, float]],
     study_start: float,
     *,
     shard: int = 0,
     shards: int = 1,
-) -> dict[tuple[str, int], dict[str, list[tuple[float, float]]]]:
-    """Time-bucketed per-sector inverted index over dwell intervals.
+) -> dict[tuple[str, str], int]:
+    """Encounter events per subscriber pair, by a per-sector sweep.
 
-    ``intervals`` yields ``(subscriber, sector, start, end)``; intervals
-    in sectors not owned by ``shard`` (per :func:`sector_shard`) are
-    dropped, which is what keeps the sharded join disjoint.  Per-cell
-    interval lists preserve input order, so both the batch path
-    (timeline order) and the streaming path (canonical stream order)
-    produce identical cells.
+    ``intervals`` yields ``(subscriber, sector, start, end)`` non-empty
+    half-open dwell intervals; a subscriber's own intervals must never
+    overlap (both interval sources, :meth:`SectorTimeline.dwell_intervals`
+    and :func:`stream_dwell_intervals`, guarantee it).  Intervals in sectors
+    not owned by ``shard`` (per :func:`sector_shard`) are dropped, which
+    keeps the sharded join disjoint.  Returns ``{(a, b): events}`` with
+    ``a < b``, in sorted pair order.
     """
-    index: dict[tuple[str, int], dict[str, list[tuple[float, float]]]] = {}
+    by_sector: dict[str, list[tuple[float, float, str]] | None] = {}
     for subscriber, sector, start, end in intervals:
-        if shards > 1 and sector_shard(sector, shards) != shard:
-            continue
-        for bucket, clip_start, clip_end in _bucket_clips(
-            start, end, study_start
-        ):
-            cell = index.setdefault((sector, bucket), {})
-            cell.setdefault(subscriber, []).append((clip_start, clip_end))
-    return index
+        if sector not in by_sector:
+            owned = shards == 1 or sector_shard(sector, shards) == shard
+            by_sector[sector] = [] if owned else None
+        rows = by_sector[sector]
+        if rows is not None:
+            rows.append((start, end, subscriber))
+    pair_events: dict[tuple[str, str], int] = {}
+    for rows in by_sector.values():
+        if rows is not None:
+            _sweep_sector(rows, study_start, pair_events)
+    return {pair: pair_events[pair] for pair in sorted(pair_events)}
 
 
-def _overlap_seconds(
-    left: list[tuple[float, float]], right: list[tuple[float, float]]
-) -> float:
-    """Total intersection of two sorted disjoint interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(left) and j < len(right):
-        start = max(left[i][0], right[j][0])
-        end = min(left[i][1], right[j][1])
-        if end > start:
-            total += end - start
-        if left[i][1] <= right[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def join_cells(
-    index: dict[tuple[str, int], dict[str, list[tuple[float, float]]]],
-    *,
+def _sweep_sector(
+    rows: list[tuple[float, float, str]],
+    study_start: float,
     pair_events: dict[tuple[str, str], int],
-    partners: dict[str, set[str]],
-    sub_events: dict[str, int],
-) -> int:
-    """Join every cell of the index into the encounter accumulators.
+) -> None:
+    """Fold one sector's ``(start, end, subscriber)`` rows into events.
 
-    All-pairs within a cell, thresholded on total clipped overlap.
-    Cells are visited in sorted key order and members in sorted id
-    order, so accumulator *insertion* order is canonical (equal inputs
-    produce byte-identical partial-state encodings).  Returns the number
-    of encounter events found.
+    See the module docstring for the interior/edge bucket rule.  Bucket
+    bounds are compared as offsets from ``study_start`` and rebuilt as
+    ``study_start + k * BUCKET_SECONDS``, exactly as the cell definition
+    computes them.
     """
-    events = 0
-    for key in sorted(index):
-        cell = index[key]
-        if len(cell) < 2:
-            continue
-        members = sorted(cell)
-        for i, a in enumerate(members):
-            a_intervals = cell[a]
-            for b in members[i + 1 :]:
-                if _overlap_seconds(a_intervals, cell[b]) < MIN_OVERLAP_SECONDS:
-                    continue
-                events += 1
+    rows.sort(key=itemgetter(0))
+    # (a, b, bucket) → summed overlap of the pair's pieces in that cell.
+    edge_sums: dict[tuple[str, str, int], float] = {}
+    active: list[tuple[float, float, str]] = []
+    for row in rows:
+        start, end, subscriber = row
+        active = [other for other in active if other[1] > start]
+        first = int((start - study_start) // BUCKET_SECONDS)
+        bottom = first * BUCKET_SECONDS
+        top = bottom + BUCKET_SECONDS
+        first_start = study_start + bottom
+        first_end = first_start + BUCKET_SECONDS
+        head = start if start > first_start else first_start
+        for _, other_end, partner in active:
+            stop = end if end < other_end else other_end
+            offset = stop - study_start
+            if offset <= bottom:  # rounds onto the grid line: no shared cell
+                continue
+            a, b = (
+                (subscriber, partner)
+                if subscriber < partner
+                else (partner, subscriber)
+            )
+            piece = (stop if stop < first_end else first_end) - head
+            if piece > 0.0:
+                key = (a, b, first)
+                edge_sums[key] = edge_sums.get(key, 0.0) + piece
+            if offset <= top:  # ends in the first bucket (or on its end)
+                continue
+            last = int(offset // BUCKET_SECONDS)
+            if offset % BUCKET_SECONDS == 0.0:
+                last -= 1
+            if last > first + 1:
                 pair = (a, b)
-                pair_events[pair] = pair_events.get(pair, 0) + 1
-                sub_events[a] = sub_events.get(a, 0) + 1
-                sub_events[b] = sub_events.get(b, 0) + 1
-                partners.setdefault(a, set()).add(b)
-                partners.setdefault(b, set()).add(a)
-    return events
+                pair_events[pair] = pair_events.get(pair, 0) + last - first - 1
+            last_start = study_start + last * BUCKET_SECONDS
+            last_end = last_start + BUCKET_SECONDS
+            piece = (stop if stop < last_end else last_end) - (
+                start if start > last_start else last_start
+            )
+            if piece > 0.0:
+                key = (a, b, last)
+                edge_sums[key] = edge_sums.get(key, 0.0) + piece
+        active.append(row)
+    for (a, b, _), total in edge_sums.items():
+        if total >= MIN_OVERLAP_SECONDS:
+            pair = (a, b)
+            pair_events[pair] = pair_events.get(pair, 0) + 1
 
 
 def _day_end(timestamp: float, study_start: float) -> float:
@@ -283,8 +284,6 @@ class EncountersResult:
 def summarize_encounters(
     *,
     pair_events: dict[tuple[str, str], int],
-    partners: dict[str, set[str]],
-    sub_events: dict[str, int],
     seen_subscribers: set[str],
     wearable_subs: set[str],
     phone_subs: set[str],
@@ -299,7 +298,8 @@ def summarize_encounters(
     fold iterates *sorted* keys, so equal accumulators produce
     bit-identical results regardless of how they were assembled
     (merge-exactness tier: exact for counts/sets, deterministic
-    order-fixed folds for the float statistics).
+    order-fixed folds for the float statistics).  Partner sets and
+    per-subscriber event totals are derived here from ``pair_events``.
     """
     if not wearable_subs or not phone_subs:
         raise ValueError(
@@ -307,8 +307,14 @@ def summarize_encounters(
         )
 
     # Pair mix by class: a subscriber id belongs to exactly one SIM.
+    partners: dict[str, set[str]] = {}
+    sub_events: dict[str, int] = {}
     ww = wp = pp = 0
-    for a, b in pair_events:
+    for (a, b), events in pair_events.items():
+        partners.setdefault(a, set()).add(b)
+        partners.setdefault(b, set()).add(a)
+        sub_events[a] = sub_events.get(a, 0) + events
+        sub_events[b] = sub_events.get(b, 0) + events
         a_wear = a in wearable_subs
         b_wear = b in wearable_subs
         if a_wear and b_wear:
@@ -430,8 +436,8 @@ def analyze_encounters(dataset: StudyDataset) -> EncountersResult:
     """Batch encounter detection + panels over one dataset.
 
     Builds detailed-window timelines for *all* SIMs (the join does not
-    care who owns the sector), indexes their dwell intervals into the
-    per-sector cell index and joins every cell.  The parallel path
+    care who owns the sector) and joins their dwell intervals with
+    :func:`join_intervals`.  The parallel path
     (:class:`repro.core.parallel.EncountersPartial`) recomputes the same
     accumulators shard by shard; both finalize through
     :func:`summarize_encounters`.
@@ -454,16 +460,7 @@ def analyze_encounters(dataset: StudyDataset) -> EncountersResult:
             for sector, start, end in intervals:
                 yield subscriber, sector, start, end
 
-    index = build_cell_index(_intervals(), window.study_start)
-    pair_events: dict[tuple[str, str], int] = {}
-    partners: dict[str, set[str]] = {}
-    sub_events: dict[str, int] = {}
-    join_cells(
-        index,
-        pair_events=pair_events,
-        partners=partners,
-        sub_events=sub_events,
-    )
+    pair_events = join_intervals(_intervals(), window.study_start)
 
     wearable_subs: set[str] = set()
     phone_subs: set[str] = set()
@@ -483,8 +480,6 @@ def analyze_encounters(dataset: StudyDataset) -> EncountersResult:
 
     return summarize_encounters(
         pair_events=pair_events,
-        partners=partners,
-        sub_events=sub_events,
         seen_subscribers=seen_subscribers,
         wearable_subs=wearable_subs,
         phone_subs=phone_subs,

@@ -68,9 +68,8 @@ from repro.core.dataset import (
 from repro.core.devices import DeviceResult, ModelStats
 from repro.core.encounters import (
     EncountersResult,
-    build_cell_index,
     consume_classification,
-    join_cells,
+    join_intervals,
     stream_dwell_intervals,
     summarize_encounters,
 )
@@ -1353,12 +1352,11 @@ class EncountersPartial(_PartialState):
 
     Two independently sharded sides feed one partial:
 
-    * the **join side** (``pair_events`` / ``partners`` / ``sub_events``
-      / ``seen_subscribers``) partitions by *sector*
-      (:func:`repro.core.encounters.sector_shard`): every worker streams
-      the full MME log but only indexes its own sectors' cells, so each
-      encounter event is produced by exactly one worker and the merge is
-      plain integer addition + partner-set union (bit-exact tier —
+    * the **join side** (``pair_events`` / ``seen_subscribers``)
+      partitions by *sector* (:func:`repro.core.encounters.sector_shard`):
+      every worker streams the full MME log but only joins its own
+      sectors, so each encounter event is produced by exactly one worker
+      and the merge is plain integer addition (bit-exact tier —
       ``seen_subscribers`` is replicated identically on every worker and
       unions idempotently);
     * the **account side** (SIM classification, detailed proxy traffic,
@@ -1373,8 +1371,6 @@ class EncountersPartial(_PartialState):
     """
 
     pair_events: dict[tuple[str, str], int] = field(default_factory=dict)
-    partners: dict[str, set[str]] = field(default_factory=dict)
-    sub_events: dict[str, int] = field(default_factory=dict)
     seen_subscribers: set[str] = field(default_factory=set)
     wearable_subs: set[str] = field(default_factory=set)
     phone_subs: set[str] = field(default_factory=set)
@@ -1403,14 +1399,14 @@ class EncountersPartial(_PartialState):
         shard: int = 0,
         shards: int = 1,
     ) -> int:
-        """Join side: index + join this worker's sector slice.
+        """Join side: join this worker's sector slice.
 
         ``records`` is the canonically ordered *full* MME stream (not
         the account shard); sector routing happens inside
-        :func:`build_cell_index`.  Returns the number of encounter
-        events found in this slice.
+        :func:`join_intervals`.  Returns the number of encounter events
+        found in this slice.
         """
-        index = build_cell_index(
+        found = join_intervals(
             stream_dwell_intervals(
                 records, window, seen=self.seen_subscribers
             ),
@@ -1418,17 +1414,11 @@ class EncountersPartial(_PartialState):
             shard=shard,
             shards=shards,
         )
-        return join_cells(
-            index,
-            pair_events=self.pair_events,
-            partners=self.partners,
-            sub_events=self.sub_events,
-        )
+        _int_add(self.pair_events, found)
+        return sum(found.values())
 
     def merge(self, other: "EncountersPartial") -> None:
         _int_add(self.pair_events, other.pair_events)
-        _set_union(self.partners, other.partners)
-        _int_add(self.sub_events, other.sub_events)
         self.seen_subscribers |= other.seen_subscribers
         self.wearable_subs |= other.wearable_subs
         self.phone_subs |= other.phone_subs
@@ -1440,8 +1430,6 @@ class EncountersPartial(_PartialState):
     def finalize(self) -> EncountersResult:
         return summarize_encounters(
             pair_events=self.pair_events,
-            partners=self.partners,
-            sub_events=self.sub_events,
             seen_subscribers=self.seen_subscribers,
             wearable_subs=self.wearable_subs,
             phone_subs=self.phone_subs,

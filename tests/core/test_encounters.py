@@ -1,26 +1,25 @@
 """Exact-value, boundary and property tests for the encounter join (§ext).
 
-The kernel pieces (bucket clipping, cell index, all-pairs join) are
-tested on hand-crafted intervals with known overlap arithmetic; the
-panel folds are tested through ``summarize_encounters`` with hand-built
-accumulators (the simulator never attaches owner-account phone SIMs to
-the MME, so panel 3 only lights up on crafted data); the streaming
-interval extractor and the sharded partials are property-tested against
-their batch counterparts.
+The join kernel is tested on hand-crafted intervals with known overlap
+arithmetic and property-tested against the naive cell-index oracle in
+:mod:`tests.core.encounters_oracle`; the panel folds are tested through
+``summarize_encounters`` with hand-built accumulators (the simulator
+never attaches owner-account phone SIMs to the MME, so panel 3 only
+lights up on crafted data); the streaming interval extractor and the
+sharded partials are property-tested against their batch counterparts.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.encounters import (
     BUCKET_SECONDS,
     MIN_OVERLAP_SECONDS,
     analyze_encounters,
-    build_cell_index,
-    join_cells,
+    join_intervals,
     sector_shard,
     stream_dwell_intervals,
     summarize_encounters,
@@ -29,6 +28,7 @@ from repro.core.mobility import build_timelines
 from repro.core.parallel import EncountersPartial
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.stats.cdf import ECDF
+from tests.core.encounters_oracle import oracle_join
 from tests.core.helpers import (
     PHONE_IMEI,
     PHONE_IMEI_2,
@@ -46,35 +46,33 @@ HOUR = BUCKET_SECONDS
 
 
 def run_join(intervals, study_start=0.0):
-    """Index + join hand-crafted ``(sub, sector, start, end)`` intervals."""
-    index = build_cell_index(intervals, study_start)
-    pair_events: dict[tuple[str, str], int] = {}
-    partners: dict[str, set[str]] = {}
-    sub_events: dict[str, int] = {}
-    events = join_cells(
-        index, pair_events=pair_events, partners=partners, sub_events=sub_events
-    )
-    return events, pair_events, partners, sub_events
+    """Join hand-crafted ``(sub, sector, start, end)`` intervals."""
+    pairs = join_intervals(intervals, study_start)
+    return sum(pairs.values()), pairs
 
 
 class TestJoinKernel:
     def test_simple_overlap_is_one_event(self):
-        events, pairs, partners, sub_events = run_join(
+        events, pairs = run_join(
             [("a", "S", 0.0, 1800.0), ("b", "S", 900.0, 2000.0)]
         )
         assert events == 1
         assert pairs == {("a", "b"): 1}
-        assert partners == {"a": {"b"}, "b": {"a"}}
-        assert sub_events == {"a": 1, "b": 1}
+
+    def test_pair_key_is_ordered_whoever_starts_first(self):
+        _, pairs = run_join(
+            [("b", "S", 0.0, 1800.0), ("a", "S", 900.0, 2000.0)]
+        )
+        assert pairs == {("a", "b"): 1}
 
     def test_below_threshold_is_ignored(self):
-        events, pairs, _, _ = run_join(
+        events, pairs = run_join(
             [("a", "S", 0.0, 1800.0), ("b", "S", 1750.0, 1800.0)]
         )
         assert events == 0 and pairs == {}
 
     def test_exactly_threshold_counts(self):
-        events, _, _, _ = run_join(
+        events, _ = run_join(
             [
                 ("a", "S", 0.0, MIN_OVERLAP_SECONDS),
                 ("b", "S", 0.0, MIN_OVERLAP_SECONDS),
@@ -82,69 +80,183 @@ class TestJoinKernel:
         )
         assert events == 1
 
+    def test_pieces_in_one_cell_sum_to_threshold(self):
+        # Two 30 s overlaps of the same pair inside bucket 0 add up to
+        # exactly the threshold: one event, not zero and not two.
+        events, pairs = run_join(
+            [
+                ("a", "S", 0.0, 30.0),
+                ("a", "S", 600.0, 630.0),
+                ("b", "S", 0.0, 1800.0),
+            ]
+        )
+        assert events == 1 and pairs == {("a", "b"): 1}
+
+    def test_edge_sum_rounds_like_the_cell_sum(self):
+        # 29.99999999999999 + (3030.1 - 3000.1) rounds to just below
+        # 60 s; adding the clip endpoints in another order would round
+        # up and count an event the cell-by-cell definition does not.
+        intervals = [
+            ("b", "S", 0.0, HOUR),
+            ("a", "S", 0.0, 29.99999999999999),
+            ("a", "S", 3000.1, 3030.1),
+        ]
+        assert 29.99999999999999 + (3030.1 - 3000.1) < MIN_OVERLAP_SECONDS
+        assert run_join(intervals) == (0, {})
+        assert oracle_join(intervals, 0.0) == {}
+
     def test_different_sectors_never_meet(self):
-        events, _, _, _ = run_join(
+        events, _ = run_join(
             [("a", "S", 0.0, 1800.0), ("b", "T", 0.0, 1800.0)]
         )
         assert events == 0
 
     def test_cohabiting_cell_with_empty_overlap(self):
         # Same cell, disjoint time: candidate pair, zero intersection.
-        events, pairs, _, _ = run_join(
+        events, pairs = run_join(
             [("a", "S", 0.0, 100.0), ("b", "S", 200.0, 300.0)]
         )
         assert events == 0 and pairs == {}
 
     def test_overlap_spanning_bucket_edge_counts_per_cell(self):
         # [3500, 3700) × 2 → 100 s in bucket 0 and 100 s in bucket 1.
-        events, pairs, _, sub_events = run_join(
+        events, pairs = run_join(
             [("a", "S", 3500.0, 3700.0), ("b", "S", 3500.0, 3700.0)]
         )
         assert events == 2
         assert pairs == {("a", "b"): 2}
-        assert sub_events == {"a": 2, "b": 2}
+
+    def test_interior_buckets_count_once_each(self):
+        # [1800, 5 h + 30 s): edge buckets 0 (1800 s) and 5 (30 s, below
+        # threshold), interior buckets 1-4 → 5 events.
+        events, _ = run_join(
+            [("a", "S", 1800.0, 5 * HOUR + 30.0), ("b", "S", 0.0, 6 * HOUR)]
+        )
+        assert events == 5
 
     def test_interval_ending_on_edge_stays_out_of_next_bucket(self):
         # Half-open intervals: a ends exactly where b begins — they never
         # share a cell, let alone a second of overlap.
-        events, pairs, _, _ = run_join(
+        events, pairs = run_join(
             [("a", "S", 0.0, HOUR), ("b", "S", HOUR, 2 * HOUR)]
+        )
+        assert events == 0 and pairs == {}
+
+    def test_short_overlap_ending_on_edge_is_summed_once(self):
+        # 40 s ending exactly on the bucket edge: one piece in bucket 0,
+        # below threshold — it must not also be booked as a last edge.
+        events, pairs = run_join(
+            [("a", "S", HOUR - 40.0, HOUR), ("b", "S", 0.0, 2 * HOUR)]
         )
         assert events == 0 and pairs == {}
 
     def test_bucket_grid_is_anchored_at_study_start(self):
         start = 12_345.0
-        events, _, _, _ = run_join(
+        events, _ = run_join(
             [("a", "S", start, start + 100.0), ("b", "S", start, start + 100.0)],
             study_start=start,
         )
         assert events == 1
 
     def test_singleton_cells_are_skipped(self):
-        events, _, _, _ = run_join([("a", "S", 0.0, 7200.0)])
+        events, _ = run_join([("a", "S", 0.0, 7200.0)])
         assert events == 0
 
     def test_sector_routing_partitions_cells(self):
+        sectors = ("HOME", "WORK", "FAR", "X", "Y")
         intervals = [
-            (sub, sector, 0.0, 1800.0)
-            for sub in ("a", "b")
-            for sector in ("HOME", "WORK", "FAR", "X", "Y")
+            (sub, sector, 0.0, 1800.0) for sub in ("a", "b") for sector in sectors
         ]
-        full = build_cell_index(intervals, 0.0)
         shards = 3
-        slices = [
-            build_cell_index(intervals, 0.0, shard=s, shards=shards)
-            for s in range(shards)
-        ]
-        merged: dict = {}
-        for piece in slices:
-            assert not (set(piece) & set(merged))
-            merged.update(piece)
-        assert merged == full
-        for s, piece in enumerate(slices):
-            assert all(
-                sector_shard(sector, shards) == s for sector, _ in piece
+        for s in range(shards):
+            piece = join_intervals(intervals, 0.0, shard=s, shards=shards)
+            owned = sum(sector_shard(sector, shards) == s for sector in sectors)
+            assert piece == ({("a", "b"): owned} if owned else {})
+        assert join_intervals(intervals, 0.0) == {("a", "b"): len(sectors)}
+
+
+# Interval sets biased toward the kernel's boundary cases: starts and
+# ends on bucket edges, 60 s overlaps, many short pieces of one pair
+# inside one hour, intervals spanning many buckets, non-zero grids.
+_STEP = st.one_of(
+    st.sampled_from(
+        [0.0, 20.0, 30.0, 60.0, 90.0, HOUR - 60.0, HOUR - 30.0, HOUR, 3 * HOUR]
+    ),
+    st.floats(min_value=0.0, max_value=2 * HOUR),
+)
+_LENGTH = st.one_of(
+    st.sampled_from(
+        [20.0, 30.0, 60.0, 61.0, HOUR - 60.0, HOUR, 2 * HOUR, 9 * HOUR, 30 * HOUR]
+    ),
+    st.floats(min_value=1.0, max_value=12 * HOUR),
+)
+_TIMELINE = st.lists(
+    st.tuples(_STEP, _LENGTH, st.sampled_from(["S", "T", "U"])),
+    min_size=1,
+    max_size=8,
+)
+
+
+@st.composite
+def interval_sets(draw):
+    """Per-subscriber disjoint time-ordered intervals, interleaved."""
+    study_start = draw(st.sampled_from([0.0, 12_345.5, 1_513_296_000.0]))
+    timelines = []
+    for subscriber in draw(st.lists(
+        st.sampled_from("abcde"), min_size=1, max_size=5, unique=True
+    )):
+        cursor = study_start + draw(_STEP)
+        timeline = []
+        for gap, length, sector in draw(_TIMELINE):
+            start = cursor + gap
+            cursor = start + length
+            timeline.append((subscriber, sector, start, cursor))
+        timelines.append(timeline)
+    # Random interleaving that keeps each subscriber's time order.
+    rng = draw(st.randoms(use_true_random=False))
+    intervals = []
+    while timelines:
+        timeline = rng.choice(timelines)
+        intervals.append(timeline.pop(0))
+        if not timeline:
+            timelines.remove(timeline)
+    return intervals, study_start
+
+
+class TestJoinMatchesOracle:
+    @given(case=interval_sets(), shards=st.sampled_from([1, 3, 7]))
+    @settings(max_examples=300, deadline=None)
+    @example(
+        case=(
+            [
+                ("a", "S", 0.0, HOUR),
+                ("b", "S", HOUR - 60.0, 2 * HOUR),
+                ("c", "S", HOUR, 3 * HOUR + 60.0),
+                ("a", "S", 3 * HOUR, 3 * HOUR + 30.0),
+                ("a", "S", 3 * HOUR + 40.0, 3 * HOUR + 70.0),
+                ("d", "S", 3 * HOUR + 100.0, 5 * HOUR),
+                ("b", "S", 4 * HOUR - 30.0, 4 * HOUR),
+            ],
+            0.0,
+        ),
+        shards=1,
+    )
+    def test_join_equals_cell_index_oracle(self, case, shards):
+        intervals, study_start = case
+        serial = join_intervals(intervals, study_start)
+        assert serial == oracle_join(intervals, study_start)
+        assert list(serial) == sorted(serial)
+        summed: dict[tuple[str, str], int] = {}
+        for shard in range(shards):
+            piece = join_intervals(
+                intervals, study_start, shard=shard, shards=shards
             )
+            assert piece == oracle_join(
+                intervals, study_start, shard=shard, shards=shards
+            )
+            for pair, count in piece.items():
+                summed[pair] = summed.get(pair, 0) + count
+        assert summed == serial
 
 
 class TestStreamDwellIntervals:
@@ -247,8 +359,6 @@ class TestShardedPartials:
         for piece in pieces[1:]:
             merged.merge(piece)
         assert merged.pair_events == serial.pair_events
-        assert merged.partners == serial.partners
-        assert merged.sub_events == serial.sub_events
         assert merged.seen_subscribers == serial.seen_subscribers
 
     @given(events=_EVENTS, seed=st.integers(min_value=0, max_value=99))
@@ -378,15 +488,6 @@ class TestSummarizePanels:
                 ("wb", "x2"): 1,
                 ("pb", "x1"): 1,
             },
-            partners={
-                "pa": {"wa"},
-                "wa": {"pa"},
-                "wb": {"x1", "x2"},
-                "x1": {"wb", "pb"},
-                "x2": {"wb"},
-                "pb": {"x1"},
-            },
-            sub_events={"pa": 1, "wa": 1, "wb": 2, "x1": 2, "x2": 1, "pb": 1},
             seen_subscribers={"pa", "wa", "wb", "x1", "x2", "pb", "wc", "wd"},
             wearable_subs={"wa", "wb", "wc", "wd"},
             phone_subs={"pa", "pb", "pc", "x1", "x2"},
