@@ -52,13 +52,7 @@ from repro.core.devices import DeviceResult, ModelStats, analyze_devices
 from repro.core.export import report_to_dict, write_report_json
 from repro.core.figures import FIGURE_RENDERERS, render_all
 from repro.core.protocols import ProtocolResult, analyze_protocols
-from repro.core.streaming import (
-    StreamingActivity,
-    StreamingActivityResult,
-    StreamingAdoption,
-    StreamingAdoptionResult,
-    StreamingWeekly,
-)
+from repro.core.streaming import StreamingWeekly
 from repro.core.throughdevice_full import (
     ThroughDeviceFullResult,
     analyze_through_device_full,
@@ -88,10 +82,6 @@ __all__ = [
     "SectorTimeline",
     "SignatureCatalog",
     "SingleUsageStats",
-    "StreamingActivity",
-    "StreamingActivityResult",
-    "StreamingAdoption",
-    "StreamingAdoptionResult",
     "StreamingWeekly",
     "StudyDataset",
     "StudyReport",

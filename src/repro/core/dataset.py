@@ -25,12 +25,19 @@ from typing import Callable, Iterable, Iterator
 from repro.devicedb.database import DeviceDatabase
 from repro.devicedb.tac import IMEI_LENGTH
 from repro.logs.io import (
+    log_kind,
     read_records,
     read_records_shard,
     shard_keep_predicate,
 )
 from repro.logs.quarantine import QuarantineCollector, QuarantineReport
-from repro.logs.records import MmeRecord, ProxyRecord, record_sort_key
+from repro.logs.records import (
+    MmeRecord,
+    ProxyRecord,
+    record_sort_key,
+    record_to_row,
+    row_to_record,
+)
 from repro.logs.timeutil import SECONDS_PER_DAY
 from repro.simnet.topology import SectorMap
 
@@ -69,6 +76,56 @@ class StudyWindow:
 
     def in_detailed(self, timestamp: float) -> bool:
         return self.detailed_start <= timestamp < self.study_end
+
+
+@dataclass(frozen=True)
+class TraceArtifacts:
+    """The structural side artefacts of a trace directory.
+
+    The window metadata (``metadata.json``), billing directory
+    (``accounts.csv``), device database (``devices.csv``) and cell plan
+    (``sectors.csv``) stay strict in every mode — no analysis is
+    meaningful without them.  Batch, parallel and serve all read them
+    through :meth:`load`.
+    """
+
+    window: StudyWindow
+    device_db: DeviceDatabase
+    sector_map: SectorMap
+    account_directory: dict[str, str]
+    wearable_tacs: frozenset[str]
+
+    @classmethod
+    def load(cls, directory: str | Path) -> "TraceArtifacts":
+        """Read the side artefacts; raises ``FileNotFoundError`` if absent."""
+        base = Path(directory)
+        if not base.is_dir():
+            raise FileNotFoundError(f"trace directory not found: {base}")
+        meta_path = base / "metadata.json"
+        if not meta_path.exists():
+            raise FileNotFoundError(
+                f"not a trace directory (missing metadata.json): {base}"
+            )
+        with meta_path.open("r", encoding="utf-8") as handle:
+            meta = json.load(handle)
+        account_directory: dict[str, str] = {}
+        with (base / "accounts.csv").open(
+            "r", newline="", encoding="utf-8"
+        ) as handle:
+            for row in csv.DictReader(handle):
+                account_directory[row["subscriber_id"]] = row["account_id"]
+        device_db = DeviceDatabase.read_csv(base / "devices.csv")
+        return cls(
+            window=StudyWindow(
+                study_start=float(meta["study_start"]),
+                total_days=int(meta["total_days"]),
+                detailed_days=int(meta["detailed_days"]),
+            ),
+            device_db=device_db,
+            sector_map=SectorMap.read_csv(base / "sectors.csv"),
+            account_directory=account_directory,
+            wearable_tacs=device_db.wearable_tacs(),
+        )
 
 
 class StudyDataset:
@@ -110,6 +167,27 @@ class StudyDataset:
                 detailed_days=output.config.detailed_days,
             ),
         )
+
+    @classmethod
+    def from_artifacts(
+        cls,
+        artifacts: TraceArtifacts,
+        proxy_records: list[ProxyRecord],
+        mme_records: list[MmeRecord],
+        quarantine: QuarantineReport | None = None,
+    ) -> "StudyDataset":
+        """Records plus a trace's side artefacts (TAC set pre-seeded)."""
+        dataset = cls(
+            proxy_records=proxy_records,
+            mme_records=mme_records,
+            device_db=artifacts.device_db,
+            sector_map=artifacts.sector_map,
+            account_directory=artifacts.account_directory,
+            window=artifacts.window,
+            quarantine=quarantine,
+        )
+        dataset.__dict__["wearable_tacs"] = artifacts.wearable_tacs
+        return dataset
 
     #: Log suffixes probed per requested trace format, in priority order.
     _FORMAT_SUFFIXES = {
@@ -177,54 +255,33 @@ class StudyDataset:
         quarantine report identical for every shard (and identical to a
         serial lenient load).  Side artefacts stay whole in both cases.
 
-        The window metadata (``metadata.json``), billing directory,
-        device database and cell plan are structural: they stay strict in
-        both modes, since no analysis is meaningful without them.
+        The side artefacts (:class:`TraceArtifacts`) stay strict in both
+        modes, since no analysis is meaningful without them.
         """
         base = Path(directory)
-        if not base.is_dir():
-            raise FileNotFoundError(f"trace directory not found: {base}")
-        meta_path = base / "metadata.json"
-        if not meta_path.exists():
-            raise FileNotFoundError(
-                f"not a trace directory (missing metadata.json): {base}"
-            )
-        with meta_path.open("r", encoding="utf-8") as handle:
-            meta = json.load(handle)
-        account_directory: dict[str, str] = {}
-        with (base / "accounts.csv").open("r", newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                account_directory[row["subscriber_id"]] = row["account_id"]
-        device_db = DeviceDatabase.read_csv(base / "devices.csv")
-        sector_map = SectorMap.read_csv(base / "sectors.csv")
-        window = StudyWindow(
-            study_start=float(meta["study_start"]),
-            total_days=int(meta["total_days"]),
-            detailed_days=int(meta["detailed_days"]),
-        )
+        artifacts = TraceArtifacts.load(base)
+        account_directory = artifacts.account_directory
 
         keep = None
         if shard is not None:
             keep = shard_keep_predicate(shard, shards, account_directory)
 
-        quarantine: QuarantineReport | None = None
         if lenient:
             collector = QuarantineCollector()
             proxy_records = _scrub_records(
                 cls._lenient_log(base, "proxy", ProxyRecord, collector, format),
-                "proxy",
-                collector,
-                keep=keep,
+                LenientScrub(ProxyRecord, collector),
+                keep,
             )
             mme_records = _scrub_records(
                 cls._lenient_log(base, "mme", MmeRecord, collector, format),
-                "mme",
-                collector,
-                sector_map=sector_map,
-                keep=keep,
+                LenientScrub(MmeRecord, collector, artifacts.sector_map),
+                keep,
             )
-            quarantine = collector.report()
-        elif shard is not None:
+            return cls.from_artifacts(
+                artifacts, proxy_records, mme_records, collector.report()
+            )
+        if shard is not None:
             proxy_records = list(
                 read_records_shard(
                     cls._log_path(base, "proxy", format),
@@ -250,16 +307,7 @@ class StudyDataset:
             mme_records = list(
                 read_records(cls._log_path(base, "mme", format), MmeRecord)
             )
-
-        return cls(
-            proxy_records=proxy_records,
-            mme_records=mme_records,
-            device_db=device_db,
-            sector_map=sector_map,
-            account_directory=account_directory,
-            window=window,
-            quarantine=quarantine,
-        )
+        return cls.from_artifacts(artifacts, proxy_records, mme_records)
 
     @staticmethod
     def _lenient_log(
@@ -342,71 +390,140 @@ class StudyDataset:
         return self.account_directory.get(subscriber_id)
 
 
-def _scrub_records(
-    records: Iterable,
-    kind: str,
-    collector: QuarantineCollector,
-    sector_map: SectorMap | None = None,
-    keep: Callable | None = None,
-) -> list:
-    """Semantic row filter for lenient ingestion.
+class LenientScrub:
+    """The lenient row rules for one log stream, with an explicit carry.
 
     The I/O layer already dropped rows that failed to *parse*; this pass
-    drops rows that parsed but cannot be analysed — malformed IMEIs
-    (``<kind>-imei``), sectors absent from the cell plan
-    (``mme-sector``) — removes exact duplicates of the immediately
-    preceding row (``<kind>-duplicate``), and notes out-of-order
-    timestamps (``<kind>-order``), re-sorting the log into canonical
-    order when any were seen so downstream sessionisation stays correct.
+    judges rows that parsed, one at a time, in this order:
+
+    1. an exact duplicate of the immediately preceding row drops
+       (``<kind>-duplicate``);
+    2. a malformed IMEI drops (``<kind>-imei``);
+    3. for the MME log (``sector_map`` given), a sector absent from the
+       cell plan drops (``mme-sector``);
+    4. a timestamp earlier than the previous kept row's is noted
+       (``<kind>-order``) and counted in :attr:`disorder`; the row is
+       kept, and the consumer re-sorts once the stream is done.
+
+    The carry — last parsed record, previous kept timestamp, global row
+    index, disorder count — makes a stream processed in N chunks give
+    the identical accounting to one pass, and it survives a checkpoint
+    through :meth:`to_state` / :meth:`restore_state`.  Batch loads run
+    it through :func:`_scrub_records`; the service runs
+    :meth:`process_one` as its tailers' per-record hook.
+    """
+
+    STATE_VERSION = 1
+
+    def __init__(
+        self,
+        record_type: type,
+        collector: QuarantineCollector,
+        sector_map: SectorMap | None = None,
+    ) -> None:
+        self.kind = log_kind(record_type)
+        self.record_type = record_type
+        self.collector = collector
+        self.sector_map = sector_map
+        self._index = 0
+        self._last_seen = None
+        self._previous_ts = float("-inf")
+        self.disorder = 0
+
+    def to_state(self) -> dict:
+        last = self._last_seen
+        return {
+            "v": self.STATE_VERSION,
+            "index": self._index,
+            "last_seen": list(record_to_row(last)) if last is not None else None,
+            "previous_ts": self._previous_ts,
+            "disorder": self.disorder,
+        }
+
+    def restore_state(self, state: dict) -> None:
+        if state.get("v") != self.STATE_VERSION:
+            raise ValueError(
+                f"unsupported scrub state version: {state.get('v')!r}"
+            )
+        self._index = int(state["index"])
+        last = state["last_seen"]
+        self._last_seen = (
+            row_to_record(self.record_type, tuple(last))
+            if last is not None
+            else None
+        )
+        self._previous_ts = float(state["previous_ts"])
+        self.disorder = int(state["disorder"])
+
+    def process_one(self, record):
+        """Scrub one record; returns it, or None if quarantined.
+
+        Run it *inside* the read loop so read-layer and scrub-layer
+        quarantine events land in the collector in row order.
+        """
+        kind = self.kind
+        index = self._index
+        self._index = index + 1
+        if record == self._last_seen:
+            self.collector.quarantine_row(
+                kind,
+                f"{kind}-duplicate",
+                "exact duplicate of the previous row",
+                f"{kind}[{index}]",
+            )
+            return None
+        self._last_seen = record
+        imei = record.imei
+        if len(imei) != IMEI_LENGTH or not imei.isdigit():
+            self.collector.quarantine_row(
+                kind,
+                f"{kind}-imei",
+                "malformed IMEI",
+                f"{kind}[{index}] {imei!r}",
+            )
+            return None
+        sector_map = self.sector_map
+        if sector_map is not None and record.sector_id not in sector_map:
+            self.collector.quarantine_row(
+                kind,
+                f"{kind}-sector",
+                "sector missing from the cell plan",
+                f"{kind}[{index}] {record.sector_id}",
+            )
+            return None
+        timestamp = record.timestamp
+        if timestamp < self._previous_ts:
+            self.disorder += 1
+            self.collector.note(
+                f"{kind}-order",
+                "records out of time order (kept; log re-sorted)",
+                f"{kind}[{index}]",
+            )
+        self._previous_ts = timestamp
+        return record
+
+
+def _scrub_records(
+    records: Iterable,
+    scrub: LenientScrub,
+    keep: Callable | None = None,
+) -> list:
+    """Run ``scrub`` over a whole log; the kept rows in canonical order.
 
     ``keep`` restricts the *returned* rows (shard-filtered loads) without
     affecting any of the defect accounting: duplicate and order defects
     are properties of the full stream, so every shard observing the same
-    file produces the identical quarantine report.  The kept restriction
-    of the globally re-sorted log equals re-sorting the restriction, so
-    shard loads stay canonical too.
+    file produces the identical quarantine report.  When the scrub saw
+    disorder the kept rows are re-sorted; the kept restriction of the
+    globally re-sorted log equals re-sorting the restriction, so shard
+    loads stay canonical too.
     """
+    process_one = scrub.process_one
     kept: list = []
-    last_seen = None
-    previous_ts = float("-inf")
-    disorder = 0
-    for index, record in enumerate(records):
-        where = f"{kind}[{index}]"
-        if record == last_seen:
-            collector.quarantine_row(
-                kind,
-                f"{kind}-duplicate",
-                "exact duplicate of the previous row",
-                where,
-            )
-            continue
-        last_seen = record
-        if len(record.imei) != IMEI_LENGTH or not record.imei.isdigit():
-            collector.quarantine_row(
-                kind,
-                f"{kind}-imei",
-                "malformed IMEI",
-                f"{where} {record.imei!r}",
-            )
-            continue
-        if sector_map is not None and record.sector_id not in sector_map:
-            collector.quarantine_row(
-                kind,
-                f"{kind}-sector",
-                "sector missing from the cell plan",
-                f"{where} {record.sector_id}",
-            )
-            continue
-        if record.timestamp < previous_ts:
-            disorder += 1
-            collector.note(
-                f"{kind}-order",
-                "records out of time order (kept; log re-sorted)",
-                where,
-            )
-        previous_ts = record.timestamp
-        if keep is None or keep(record):
+    for record in records:
+        record = process_one(record)
+        if record is not None and (keep is None or keep(record)):
             kept.append(record)
-    if disorder:
+    if scrub.disorder:
         kept.sort(key=record_sort_key)
     return kept

@@ -61,8 +61,10 @@ from repro.core.apps import (
 )
 from repro.core.comparison import ComparisonResult
 from repro.core.dataset import (
+    LenientScrub,
     StudyDataset,
     StudyWindow,
+    TraceArtifacts,
     _scrub_records,
 )
 from repro.core.devices import DeviceResult, ModelStats
@@ -108,8 +110,7 @@ from repro.stats.entropy import dwell_weighted_entropy
 from repro.stats.geo import GeoPoint, max_displacement_km
 from repro.stats.streaming import OnlineStats, P2Quantile, ReservoirSampler
 
-#: Reservoir size for the transaction-size sample, per shard (matches
-#: :class:`~repro.core.streaming.StreamingActivity`).
+#: Reservoir size for the transaction-size sample, per shard.
 RESERVOIR_SIZE = 4096
 
 #: Emit one timeline ``progress`` event per this many processed rows.
@@ -1645,9 +1646,9 @@ def _full_mme_stream(trace_dir: str, *, lenient: bool, format: str):
     return iter(
         _scrub_records(
             StudyDataset._lenient_log(base, "mme", MmeRecord, collector, format),
-            "mme",
-            collector,
-            sector_map=SectorMap.read_csv(base / "sectors.csv"),
+            LenientScrub(
+                MmeRecord, collector, SectorMap.read_csv(base / "sectors.csv")
+            ),
         )
     )
 
@@ -1813,8 +1814,8 @@ def analyze_parallel(
     are the only report fields that vary with the shard count.
 
     ``format`` selects the log encoding to load (``auto`` / ``csv`` /
-    ``bin``); binary traces use per-block shard headers to skip other
-    shards' blocks without decompressing them.
+    ``bin``).  Every worker decodes the whole log and keeps its shard's
+    rows.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -1875,10 +1876,10 @@ def analyze_parallel(
         with obs.span("analyze.finalize"):
             catalog = app_catalog or builtin_app_catalog()
             app_categories = {app.name: app.category for app in catalog}
-            window, device_db = _load_finalize_artifacts(base)
+            artifacts = TraceArtifacts.load(base)
             report = merged.finalize(
-                window,
-                device_db,
+                artifacts.window,
+                artifacts.device_db,
                 app_categories,
                 quarantine=results[0].quarantine,
             )
@@ -1893,19 +1894,3 @@ def analyze_parallel(
         )
     return ParallelAnalysisRun(report=report, shard_stats=stats, workers=workers)
 
-
-def _load_finalize_artifacts(
-    base: Path,
-) -> tuple[StudyWindow, DeviceDatabase]:
-    """The side artefacts the reduce step needs (no log records)."""
-    import json
-
-    with (base / "metadata.json").open("r", encoding="utf-8") as handle:
-        meta = json.load(handle)
-    window = StudyWindow(
-        study_start=float(meta["study_start"]),
-        total_days=int(meta["total_days"]),
-        detailed_days=int(meta["detailed_days"]),
-    )
-    device_db = DeviceDatabase.read_csv(base / "devices.csv")
-    return window, device_db

@@ -1,308 +1,31 @@
-"""One-pass streaming variants of the headline analyses.
+"""One-pass streaming aggregation of the §4.2 weekly pattern.
 
-The batch analyses in this package hold the full record lists in memory —
-fine for the simulator's scaled traces, impossible for a real national
-trace.  The aggregators here consume *iterators* of records in a single
-pass with memory bounded by the number of users (not records):
-
-* :class:`StreamingAdoption` — the §4.1 numbers from an MME stream plus a
-  wearable-subscriber stream;
-* :class:`StreamingActivity` — the §4.3 activity/transaction-size numbers
-  from a wearable proxy stream, with transaction-size quantiles estimated
-  by a reservoir;
-* :class:`StreamingWeekly` — the §4.2 weekly-pattern and relative-usage
-  numbers from the *full* proxy stream (it needs the total ISP traffic
-  for the wearable-share denominators).
-
-All mirror their batch counterparts; equivalence is asserted by the
-differential test layer (exact for counts, sums and derived ratios,
-approximate only for sampled quantiles).  The implementations are kept
-deliberately independent of the batch code paths so the differential
-tests compare two genuinely different computations.
+:class:`StreamingWeekly` consumes the *full* proxy stream (it needs the
+total ISP traffic for the wearable-share denominators) in a single pass
+with memory bounded by active wearable user-days, not records.  It
+mirrors the batch :func:`~repro.core.weekly.analyze_weekly`; the
+differential test layer asserts exact agreement.  The map-reduce
+analysis and the service fold it per shard and merge the results.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
 from repro.core.dataset import StudyWindow
 from repro.core.weekly import EVENING_HOURS, WeeklyResult
-from repro.logs.records import MmeRecord, ProxyRecord
+from repro.logs.records import ProxyRecord
 from repro.logs.timeutil import hour_of_day, is_weekend, weekday
-from repro.simnet.engine import stream_seed
 from repro.state import decode_value, encode_value
-from repro.stats.streaming import OnlineStats, P2Quantile, ReservoirSampler
-
-
-@dataclass(frozen=True, slots=True)
-class StreamingAdoptionResult:
-    """§4.1 headline numbers, computed in one pass."""
-
-    daily_counts: list[int]
-    monthly_growth_percent: float
-    total_growth_percent: float
-    first_week_users: int
-    abandoned_fraction: float
-    still_active_fraction: float
-    data_active_fraction: float
-
-
-class StreamingAdoption:
-    """One-pass adoption aggregation over MME + proxy streams.
-
-    State: one (first_seen, last_seen) pair and one daily bitset entry per
-    subscriber — O(users), independent of record count.
-    """
-
-    def __init__(self, window: StudyWindow, wearable_tacs: frozenset[str]) -> None:
-        self._window = window
-        self._tacs = wearable_tacs
-        self._daily: list[set[str]] = [set() for _ in range(window.total_days)]
-        self._first_seen: dict[str, int] = {}
-        self._last_seen: dict[str, int] = {}
-        self._data_users: set[str] = set()
-
-    def merge(self, other: "StreamingAdoption") -> "StreamingAdoption":
-        """Fold another shard's adoption state into this one — *exact*:
-        all state is sets and min/max day indices, so the merge commutes
-        with splitting the stream any way at all."""
-        for day, users in enumerate(other._daily):
-            self._daily[day] |= users
-        for subscriber, day in other._first_seen.items():
-            mine = self._first_seen.get(subscriber)
-            if mine is None or day < mine:
-                self._first_seen[subscriber] = day
-        for subscriber, day in other._last_seen.items():
-            mine = self._last_seen.get(subscriber)
-            if mine is None or day > mine:
-                self._last_seen[subscriber] = day
-        self._data_users |= other._data_users
-        return self
-
-    def add_mme(self, record: MmeRecord) -> None:
-        if record.tac not in self._tacs:
-            return
-        day = self._window.day_of(record.timestamp)
-        if not 0 <= day < self._window.total_days:
-            return
-        subscriber = record.subscriber_id
-        self._daily[day].add(subscriber)
-        if subscriber not in self._first_seen or day < self._first_seen[subscriber]:
-            self._first_seen[subscriber] = day
-        if subscriber not in self._last_seen or day > self._last_seen[subscriber]:
-            self._last_seen[subscriber] = day
-
-    def add_proxy(self, record: ProxyRecord) -> None:
-        if record.tac in self._tacs:
-            self._data_users.add(record.subscriber_id)
-
-    def consume(
-        self,
-        mme_records: Iterable[MmeRecord],
-        proxy_records: Iterable[ProxyRecord],
-    ) -> "StreamingAdoption":
-        mme_rows = proxy_rows = 0
-        with obs.span("streaming.adoption"):
-            for record in mme_records:
-                self.add_mme(record)
-                mme_rows += 1
-            for record in proxy_records:
-                self.add_proxy(record)
-                proxy_rows += 1
-        if obs.enabled():
-            registry = obs.metrics()
-            registry.counter(
-                "repro_streaming_rows_total",
-                aggregator="adoption",
-                stream="mme",
-            ).add(mme_rows)
-            registry.counter(
-                "repro_streaming_rows_total",
-                aggregator="adoption",
-                stream="proxy",
-            ).add(proxy_rows)
-        return self
-
-    def result(self) -> StreamingAdoptionResult:
-        from repro.core.adoption import ABANDON_QUIET_DAYS
-
-        window = self._window
-        daily_counts = [len(users) for users in self._daily]
-        start_level = sum(daily_counts[:7]) / 7.0
-        end_level = sum(daily_counts[-7:]) / 7.0
-        if start_level > 0:
-            total_growth = end_level / start_level - 1.0
-            months = window.total_days / 30.0
-            monthly = (1.0 + total_growth) ** (1.0 / months) - 1.0
-        else:
-            total_growth = 0.0
-            monthly = 0.0
-
-        first_week = {
-            s for s, day in self._first_seen.items() if day < 7
-        }
-        last_week_start = window.total_days - 7
-        still = sum(
-            1 for s in first_week if self._last_seen[s] >= last_week_start
-        )
-        abandoned = sum(
-            1
-            for s in first_week
-            if self._last_seen[s] < window.total_days - ABANDON_QUIET_DAYS
-        )
-        registered = set(self._first_seen)
-        data_users = self._data_users & registered
-        denominator = len(first_week) if first_week else 1
-        return StreamingAdoptionResult(
-            daily_counts=daily_counts,
-            monthly_growth_percent=100.0 * monthly,
-            total_growth_percent=100.0 * total_growth,
-            first_week_users=len(first_week),
-            abandoned_fraction=abandoned / denominator,
-            still_active_fraction=still / denominator,
-            data_active_fraction=(
-                len(data_users) / len(registered) if registered else 0.0
-            ),
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class StreamingActivityResult:
-    """§4.3 activity headlines, computed in one pass."""
-
-    transactions: int
-    total_bytes: float
-    mean_tx_bytes: float
-    median_tx_bytes_estimate: float
-    fraction_tx_under_10kb_estimate: float
-    mean_active_days_per_week: float
-    mean_active_hours_per_day: float
-    distinct_users: int
-
-
-class StreamingActivity:
-    """One-pass §4.3 aggregation over a wearable proxy stream.
-
-    Transaction sizes go through both a P² median estimator (O(1) memory)
-    and a reservoir (for arbitrary-quantile queries); per-user activity is
-    tracked with day/hour sets.
-    """
-
-    def __init__(
-        self,
-        window: StudyWindow,
-        wearable_tacs: frozenset[str],
-        reservoir_size: int = 4096,
-        *,
-        seed: int = 0,
-        shard: int = 0,
-    ) -> None:
-        self._window = window
-        self._tacs = wearable_tacs
-        self._sizes = OnlineStats()
-        self._median = P2Quantile(0.5)
-        # Per-shard reservoir seed, derived with the engine's
-        # ``seed:concern:key`` stream convention.  A hardcoded seed would
-        # make every shard of a parallel run draw the *identical* sample
-        # pattern, biasing merged quantiles toward whichever shard's
-        # values happen to survive the union.
-        self._reservoir = ReservoirSampler(
-            reservoir_size, seed=stream_seed(seed, "activity-reservoir", str(shard))
-        )
-        self._under_10kb = 0
-        self._user_days: dict[str, set[int]] = defaultdict(set)
-        self._user_day_hours: dict[str, set[tuple[int, int]]] = defaultdict(set)
-
-    def merge(self, other: "StreamingActivity") -> "StreamingActivity":
-        """Fold another shard's activity state into this one.
-
-        Exact for transaction counts, the byte total (exact-sum
-        :class:`OnlineStats`), the under-10kB counter and the per-user
-        day/hour sets (disjoint or union-safe across shards); the merged
-        P² median and reservoir quantiles carry their documented
-        approximation bands.
-        """
-        self._sizes.merge(other._sizes)
-        self._median.merge(other._median)
-        self._reservoir.merge(other._reservoir)
-        self._under_10kb += other._under_10kb
-        for user, days in other._user_days.items():
-            self._user_days[user] |= days
-        for user, hours in other._user_day_hours.items():
-            self._user_day_hours[user] |= hours
-        return self
-
-    def add(self, record: ProxyRecord) -> None:
-        if record.tac not in self._tacs:
-            return
-        if not self._window.in_detailed(record.timestamp):
-            return
-        size = float(record.total_bytes)
-        self._sizes.add(size)
-        self._median.add(size)
-        self._reservoir.add(size)
-        if size < 10_000.0:
-            self._under_10kb += 1
-        day = self._window.day_of(record.timestamp)
-        # Wall-clock hour of day, exactly as the batch analysis buckets it
-        # (core.activity uses hour_of_day).  The previous arithmetic
-        # ``(ts - study_start) % 86_400 // 3_600`` only equals the
-        # wall-clock hour when study_start is midnight-aligned.
-        hour = hour_of_day(record.timestamp)
-        subscriber = record.subscriber_id
-        self._user_days[subscriber].add(day)
-        self._user_day_hours[subscriber].add((day, hour))
-
-    def consume(self, records: Iterable[ProxyRecord]) -> "StreamingActivity":
-        rows = 0
-        with obs.span("streaming.activity"):
-            for record in records:
-                self.add(record)
-                rows += 1
-        if obs.enabled():
-            obs.metrics().counter(
-                "repro_streaming_rows_total",
-                aggregator="activity",
-                stream="proxy",
-            ).add(rows)
-        return self
-
-    def quantile(self, q: float) -> float:
-        """Approximate size quantile from the reservoir."""
-        return self._reservoir.ecdf().quantile(q)
-
-    def result(self) -> StreamingActivityResult:
-        if self._sizes.count == 0:
-            raise ValueError("no wearable transactions seen")
-        weeks = max(1, self._window.detailed_days // 7)
-        days_per_week = [
-            len(days) / weeks for days in self._user_days.values()
-        ]
-        hours_per_day = [
-            len(self._user_day_hours[user]) / len(self._user_days[user])
-            for user in self._user_days
-        ]
-        return StreamingActivityResult(
-            transactions=self._sizes.count,
-            total_bytes=self._sizes.total,
-            mean_tx_bytes=self._sizes.mean,
-            median_tx_bytes_estimate=self._median.value,
-            fraction_tx_under_10kb_estimate=self._under_10kb / self._sizes.count,
-            mean_active_days_per_week=sum(days_per_week) / len(days_per_week),
-            mean_active_hours_per_day=sum(hours_per_day) / len(hours_per_day),
-            distinct_users=len(self._user_days),
-        )
 
 
 class StreamingWeekly:
     """One-pass §4.2 aggregation over the full proxy stream.
 
-    Unlike :class:`StreamingActivity` this consumes *every* proxy record —
-    the wearable share of total ISP traffic needs the phone traffic in the
-    denominators.  State is a handful of fixed-size hour/day-of-week
+    This consumes *every* proxy record — the wearable share of total ISP
+    traffic needs the phone traffic in the denominators.  State is a handful of fixed-size hour/day-of-week
     accumulators plus one ``(subscriber, date)`` set per day of week:
     O(active wearable user-days), independent of record count.
 

@@ -5,8 +5,8 @@ row-by-row ``dict`` round-trip in :mod:`repro.logs.io` is the ceiling on
 every throughput goal in the roadmap.  This module stores the same
 records as **length-prefixed, gzip-member-framed blocks of fixed-width
 column batches**, so the hot paths (engine spill/export, shard-filtered
-analysis reads) move bytes with :mod:`struct`/:mod:`array` instead of
-parsing text.
+analysis reads) move bytes with :mod:`struct`, :mod:`array` and numpy
+instead of parsing text.
 
 Wire layout (all integers little-endian)::
 
@@ -30,12 +30,13 @@ Wire layout (all integers little-endian)::
                                                       #   per row (u16 if
                                                       #   n_uniques fits)
 
-Per-block headers carry the min/max timestamp and a 256-entry subscriber
-*bucket* bitmap (``crc32(subscriber_id) & 0xFF``), so shard-filtered and
-time-range reads skip whole blocks without decompressing them.  The
-bucket filter composes with the analysis shard function whenever
-``256 % shards == 0`` and no billing directory re-keys subscribers —
-exactly the default analysis configuration.
+Per-block headers carry the min/max timestamp, so strict time-range
+reads skip whole blocks without decompressing them.  The bucket fields
+(``min_bucket``/``max_bucket`` and the 256-entry subscriber bucket
+bitmap, ``crc32(subscriber_id) & 0xFF``) are *reserved*: writers still
+fill them, so files stay byte-identical under ``VERSION = 1``, and
+readers ignore them — analysis shards are keyed by billing account,
+which a subscriber bucket cannot predict.
 
 Version / compatibility policy: the file header carries an explicit
 ``version`` and a self-describing column schema.  Readers reject a bad
@@ -51,9 +52,8 @@ block magic, rows that fail record validation are quarantined
 individually, and a truncated tail block is quarantined with **exact**
 row accounting (the block header says how many rows were lost).
 
-An optional numpy fastpath accelerates numeric column decoding; the
-pure-python :mod:`array` fallback is always available and produces
-byte-identical files.
+Numeric columns are packed and unpacked with numpy as little-endian
+``<f8``/``<i8`` arrays.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ import time
 import zlib
 from array import array
 from itertools import islice
-from math import gcd
 from pathlib import Path
 from typing import (
     Callable,
@@ -78,6 +77,8 @@ from typing import (
     Sequence,
     Type,
 )
+
+import numpy as np
 
 from repro import obs
 from repro.logs.io import (
@@ -107,7 +108,6 @@ __all__ = [
     "iter_blocks",
     "pack_block",
     "read_bin_records",
-    "read_bin_records_shard",
     "read_bin_rows",
     "resume_offset",
     "write_bin_records",
@@ -137,15 +137,6 @@ _STR_COL = struct.Struct("<IBI")
 
 _KIND_CODES = {ProxyRecord: 1, MmeRecord: 2}
 _BIG_ENDIAN = sys.byteorder == "big"
-
-try:  # pragma: no cover - exercised indirectly on hosts with numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: Module switch for the numpy fastpath; tests flip it to cover the
-#: pure-python fallback on hosts where numpy is installed.
-USE_NUMPY = _np is not None
 
 
 def bucket_of(subscriber_id: str) -> int:
@@ -192,24 +183,13 @@ def file_header_bytes(record_type: type) -> bytes:
 
 # ------------------------------------------------------ column packing
 def _pack_numeric(values: Sequence, typecode: str) -> bytes:
-    if USE_NUMPY and _np is not None:
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.asarray(values, dtype=dtype).tobytes()
-    arr = array(typecode, values)
-    if _BIG_ENDIAN:
-        arr.byteswap()
-    return arr.tobytes()
+    dtype = "<f8" if typecode == "d" else "<i8"
+    return np.asarray(values, dtype=dtype).tobytes()
 
 
 def _unpack_numeric(buffer: memoryview, typecode: str) -> list:
-    if USE_NUMPY and _np is not None:
-        dtype = "<f8" if typecode == "d" else "<i8"
-        return _np.frombuffer(buffer, dtype=dtype).tolist()
-    arr = array(typecode)
-    arr.frombytes(buffer)
-    if _BIG_ENDIAN:
-        arr.byteswap()
-    return arr.tolist()
+    dtype = "<f8" if typecode == "d" else "<i8"
+    return np.frombuffer(buffer, dtype=dtype).tolist()
 
 
 def _pack_str_column(values: Sequence[str]) -> bytes:
@@ -669,49 +649,6 @@ def resume_offset(path: str | Path, record_type: type | None = None) -> int:
     return offset
 
 
-def _shard_block_skipper(
-    shard: int | None,
-    shards: int,
-    account_directory: Mapping[str, str] | None,
-) -> Callable[[bytes], bool] | None:
-    """Block-level predicate: True when a block cannot contain the shard.
-
-    Valid only when subscriber ids hash directly (no billing directory —
-    the header buckets are ``crc32(id) & 0xFF`` of the *subscriber*, so
-    an account-keyed partition cannot be inferred from them).
-
-    Write ``crc32(id) = 256·q + b`` with ``b`` the header bucket.  Then
-    ``crc32(id) % shards = (256·q + b) % shards``, and as ``q`` varies
-    ``256·q mod shards`` ranges over exactly the multiples of
-    ``g = gcd(256, shards)`` — so bucket ``b`` can hold a subscriber of
-    shard ``s`` **only if** ``(s - b) % g == 0``.  That necessary
-    condition makes the bitmap test conservative (a bucket-superset
-    filter, never skipping a block that could contain the shard) for
-    *every* shard count:
-
-    * ``shards | 256`` (``g == shards``): the condition collapses to
-      ``b % shards == s`` — also sufficient, i.e. an exact filter;
-    * even non-divisors (e.g. 6 → ``g = 2``): half the buckets are
-      excluded — a real, if partial, skip;
-    * odd shard counts (``g == 1``): every bucket passes, the filter
-      cannot exclude anything — return None rather than test bitmaps
-      that always match.
-    """
-    if shard is None or account_directory is not None:
-        return None
-    fold = gcd(256, shards)
-    if fold == 1:
-        return None
-    wanted = 0
-    for bucket in range(256):
-        if (shard - bucket) % fold == 0:
-            wanted |= 1 << bucket
-    def skip(bitmap_bytes: bytes) -> bool:
-        return not (int.from_bytes(bitmap_bytes, "little") & wanted)
-
-    return skip
-
-
 def read_bin_records(
     path: str | Path,
     record_type: Type[ProxyRecord] | Type[MmeRecord],
@@ -728,9 +665,12 @@ def read_bin_records(
     """Stream records from a binary log written by :func:`write_bin_records`.
 
     Strict by default; ``quarantine`` switches to lenient ingestion with
-    the same contract as the CSV reader.  ``time_range=(t0, t1)`` and
-    ``shard``/``shards`` enable block skipping via the per-block headers
-    (skips are disabled in lenient mode so row accounting stays exact).
+    the same contract as the CSV reader.  ``time_range=(t0, t1)`` keeps
+    rows inside the range and skips whole blocks outside it via the
+    per-block min/max timestamps (block skips are disabled in lenient
+    mode so row accounting stays exact).  ``shard``/``shards`` keep one
+    account shard's rows (:func:`repro.logs.io.shard_keep_predicate`);
+    every block is still decoded.
     ``start_offset`` resumes the read at a block boundary previously
     obtained from :func:`iter_blocks` / :func:`resume_offset` — the file
     header is still validated, then the reader seeks straight there.
@@ -746,9 +686,6 @@ def read_bin_records(
     keep = None
     if shard is not None:
         keep = shard_keep_predicate(shard, shards, account_directory)
-    block_skip = None
-    if quarantine is None:
-        block_skip = _shard_block_skipper(shard, shards, account_directory)
     try:
         with source.open("rb") as handle:
             try:
@@ -801,7 +738,7 @@ def read_bin_records(
                     _max_bucket,
                     min_ts,
                     max_ts,
-                    bitmap,
+                    _bitmap,
                 ) = _BLOCK_HEADER.unpack(header)
                 if magic != BLOCK_MAGIC:
                     if quarantine is None:
@@ -836,8 +773,6 @@ def read_bin_records(
                         )
                     return
                 block_index += 1
-                if block_skip is not None and block_skip(bitmap):
-                    continue
                 if (
                     quarantine is None
                     and time_range is not None
@@ -980,34 +915,6 @@ def _resync(
         f"{source.name}: {garbage} garbage bytes",
     )
     return idx != -1
-
-
-def read_bin_records_shard(
-    path: str | Path,
-    record_type: Type[ProxyRecord] | Type[MmeRecord],
-    shard: int,
-    shards: int,
-    account_directory: Mapping[str, str] | None = None,
-    quarantine: QuarantineCollector | None = None,
-    *,
-    category: str = "log",
-) -> Iterator:
-    """Stream one account shard from a binary log, skipping whole blocks.
-
-    Mirrors :func:`repro.logs.io.read_csv_records_shard`; when the
-    shard count folds evenly onto the 256 header buckets (and no
-    billing directory re-keys subscribers), blocks with no matching
-    bucket are skipped without decompression.
-    """
-    return read_bin_records(
-        path,
-        record_type,
-        quarantine,
-        category=category,
-        shard=shard,
-        shards=shards,
-        account_directory=account_directory,
-    )
 
 
 def read_bin_rows(

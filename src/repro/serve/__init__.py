@@ -7,7 +7,8 @@ package keeps answering it *while the trace grows*.  A daemon
   byte offset, ``.csv.gz`` by whole-gzip-member appends, ``.bin`` by
   complete-block boundaries (:mod:`repro.serve.tailer`);
 * **aggregates incrementally**: new rows are scrubbed (in lenient mode,
-  with the exact carry semantics of the batch scrubber), routed to
+  by the batch scrubber :class:`~repro.core.dataset.LenientScrub`,
+  chunked with its carry), routed to
   account shards, and folded into the same ``*Partial`` dataclasses the
   map-reduce analysis uses (:mod:`repro.serve.state`);
 * **checkpoints** stream offsets, shard partials and quarantine

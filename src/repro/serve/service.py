@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
+from repro.core.dataset import LenientScrub, TraceArtifacts
 from repro.core.figures import FIGURE_RENDERERS
 from repro.core.export import report_to_dict
 from repro.core.pipeline import StudyReport
@@ -38,12 +39,7 @@ from repro.logs.io import subscriber_shard
 from repro.obs.export import RUN_REPORT_SCHEMA, build_run_report
 from repro.obs.profiler import build_profile
 from repro.serve.checkpoint import CheckpointStore
-from repro.serve.state import (
-    IncrementalScrub,
-    ShardSlot,
-    finalize_slots,
-    load_artifacts,
-)
+from repro.serve.state import ShardSlot, finalize_slots
 from repro.serve.tailer import StreamTailer
 
 #: Payload version inside the checkpoint envelope.
@@ -85,7 +81,7 @@ class AnalysisService:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.artifacts = load_artifacts(config.trace_dir)
+        self.artifacts = TraceArtifacts.load(config.trace_dir)
         self.store = (
             CheckpointStore(config.checkpoint_dir)
             if config.checkpoint_dir is not None
@@ -110,14 +106,9 @@ class AnalysisService:
         config = self.config
         self.scrubs = (
             {
-                "proxy": IncrementalScrub(
-                    "proxy", ProxyRecord, self.collector
-                ),
-                "mme": IncrementalScrub(
-                    "mme",
-                    MmeRecord,
-                    self.collector,
-                    sector_map=self.artifacts.sector_map,
+                "proxy": LenientScrub(ProxyRecord, self.collector),
+                "mme": LenientScrub(
+                    MmeRecord, self.collector, self.artifacts.sector_map
                 ),
             }
             if config.lenient

@@ -44,7 +44,6 @@ from repro.logs.io import (
     log_kind,
 )
 from repro.logs.quarantine import QuarantineCollector
-from repro.logs.records import fields_for
 
 #: Compressed bytes fed to the decompressor per step (matches the batch
 #: reader's chunk size, which bounds how much of a corrupt member's
@@ -57,16 +56,6 @@ _FORMAT_SUFFIXES = {
     "csv": (".csv", ".csv.gz"),
     "bin": (".bin",),
 }
-
-
-def record_to_row(record) -> tuple:
-    """A record's values in canonical column order (JSON-safe)."""
-    return tuple(getattr(record, name) for name in fields_for(type(record)))
-
-
-def row_to_record(record_type: type, row) -> object:
-    """Invert :func:`record_to_row`."""
-    return record_type(*row)
 
 
 class StreamTailer:

@@ -1,8 +1,8 @@
-"""Differential layer: streaming aggregators vs batch analyses.
+"""Differential layer: per-record folds vs batch analyses.
 
-Three independent implementations of the same paper statistics exist in
-this repo (batch ``analyze_*`` and the one-pass ``Streaming*`` classes).
-They share no accumulation code, so exact agreement between them is a
+Independent implementations of the same paper statistics exist in this
+repo (batch ``analyze_*``, the one-pass ``StreamingWeekly`` and the
+map-reduce ``*Partial`` folds).  They share no accumulation code, so exact agreement between them is a
 strong correctness signal.  This module checks that agreement
 
 * on the pristine small simulation,
@@ -17,11 +17,8 @@ import pytest
 from repro.core.activity import analyze_activity
 from repro.core.adoption import analyze_adoption
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.streaming import (
-    StreamingActivity,
-    StreamingAdoption,
-    StreamingWeekly,
-)
+from repro.core.parallel import ActivityPartial, AdoptionPartial
+from repro.core.streaming import StreamingWeekly
 from repro.core.weekly import analyze_weekly
 from repro.devicedb import builtin_database
 from repro.logs.faults import FaultSpec, corrupt_trace
@@ -126,8 +123,8 @@ class TestNonMidnightWeekly:
 
 
 class TestQuarantinedTraceDifferential:
-    """After lenient ingestion of a corrupted trace, batch and streaming
-    code paths see the identical surviving record list and must agree."""
+    """After lenient ingestion of a corrupted trace, batch and per-record
+    fold code paths see the identical surviving record list and must agree."""
 
     @pytest.fixture(scope="class")
     def lenient_dataset(self, small_trace_dir, tmp_path_factory):
@@ -140,12 +137,10 @@ class TestQuarantinedTraceDifferential:
 
     def test_activity_agrees(self, lenient_dataset):
         batch = analyze_activity(lenient_dataset)
-        streaming = (
-            StreamingActivity(lenient_dataset.window, lenient_dataset.wearable_tacs)
-            .consume(iter(lenient_dataset.proxy_records))
-            .result()
-        )
-        assert streaming.transactions == len(batch.transaction_sizes)
+        partial = ActivityPartial.create(0, 0)
+        partial.consume(lenient_dataset)
+        streaming = partial.finalize(lenient_dataset.window)
+        assert len(streaming.transaction_sizes) == len(batch.transaction_sizes)
         assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
         assert streaming.mean_active_days_per_week == pytest.approx(
             batch.mean_active_days_per_week
@@ -156,14 +151,9 @@ class TestQuarantinedTraceDifferential:
 
     def test_adoption_agrees(self, lenient_dataset):
         batch = analyze_adoption(lenient_dataset)
-        streaming = (
-            StreamingAdoption(lenient_dataset.window, lenient_dataset.wearable_tacs)
-            .consume(
-                iter(lenient_dataset.mme_records),
-                iter(lenient_dataset.proxy_records),
-            )
-            .result()
-        )
+        partial = AdoptionPartial(total_days=lenient_dataset.window.total_days)
+        partial.consume(lenient_dataset)
+        streaming = partial.finalize(lenient_dataset.window)
         assert streaming.daily_counts == batch.daily_counts
         assert streaming.total_growth_percent == pytest.approx(
             batch.total_growth_percent

@@ -227,11 +227,11 @@ class TestShardPartialProtocol:
             for shard in range(3)
         ]
         right = parts[0].merge(parts[1].merge(parts[2]))
-        from repro.core.parallel import _load_finalize_artifacts
-        from repro.devicedb import builtin_database
+        from repro.core.dataset import TraceArtifacts
         from repro.simnet.appcatalog import builtin_app_catalog
 
-        window, device_db = _load_finalize_artifacts(small_trace_dir)
+        artifacts = TraceArtifacts.load(small_trace_dir)
+        window, device_db = artifacts.window, artifacts.device_db
         cats = {app.name: app.category for app in builtin_app_catalog()}
         assert left.finalize(window, device_db, cats) == right.finalize(
             window, device_db, cats

@@ -1,11 +1,11 @@
-"""Equivalence tests: streaming aggregators vs the batch analyses."""
+"""Equivalence tests: per-record folds vs the batch analyses."""
 
 import pytest
 
 from repro.core.activity import analyze_activity
-from repro.core.adoption import analyze_adoption
 from repro.core.dataset import StudyDataset, StudyWindow
-from repro.core.streaming import StreamingActivity, StreamingAdoption
+from repro.core.parallel import RESERVOIR_SIZE, ActivityPartial
+from repro.core.streaming import StreamingWeekly
 from repro.devicedb import builtin_database
 from repro.logs.records import ProxyRecord
 from repro.logs.timeutil import SECONDS_PER_DAY, SECONDS_PER_HOUR, parse_timestamp
@@ -13,105 +13,10 @@ from repro.simnet.topology import Sector, SectorMap
 from repro.stats.geo import GeoPoint
 
 
-class TestStreamingAdoption:
-    @pytest.fixture(scope="class")
-    def results(self, small_dataset):
-        batch = analyze_adoption(small_dataset)
-        streaming = (
-            StreamingAdoption(small_dataset.window, small_dataset.wearable_tacs)
-            .consume(iter(small_dataset.mme_records), iter(small_dataset.proxy_records))
-            .result()
-        )
-        return batch, streaming
-
-    def test_daily_counts_identical(self, results):
-        batch, streaming = results
-        assert streaming.daily_counts == batch.daily_counts
-
-    def test_growth_identical(self, results):
-        batch, streaming = results
-        assert streaming.monthly_growth_percent == pytest.approx(
-            batch.monthly_growth_percent
-        )
-        assert streaming.total_growth_percent == pytest.approx(
-            batch.total_growth_percent
-        )
-
-    def test_retention_identical(self, results):
-        batch, streaming = results
-        assert streaming.first_week_users == batch.first_week_users
-        assert streaming.abandoned_fraction == pytest.approx(
-            batch.abandoned_fraction
-        )
-        assert streaming.still_active_fraction == pytest.approx(
-            batch.still_active_fraction
-        )
-
-    def test_data_active_identical(self, results):
-        batch, streaming = results
-        assert streaming.data_active_fraction == pytest.approx(
-            batch.data_active_fraction
-        )
-
-
-class TestStreamingActivity:
-    @pytest.fixture(scope="class")
-    def results(self, small_dataset):
-        batch = analyze_activity(small_dataset)
-        streaming = (
-            StreamingActivity(small_dataset.window, small_dataset.wearable_tacs)
-            .consume(iter(small_dataset.proxy_records))
-            .result()
-        )
-        return batch, streaming
-
-    def test_exact_aggregates_match(self, results):
-        batch, streaming = results
-        assert streaming.transactions == len(batch.transaction_sizes)
-        assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
-        assert streaming.mean_active_days_per_week == pytest.approx(
-            batch.mean_active_days_per_week
-        )
-        assert streaming.mean_active_hours_per_day == pytest.approx(
-            batch.mean_active_hours_per_day
-        )
-
-    def test_median_estimate_close(self, results):
-        batch, streaming = results
-        assert streaming.median_tx_bytes_estimate == pytest.approx(
-            batch.median_tx_bytes, rel=0.25
-        )
-
-    def test_under_10kb_exact(self, results):
-        batch, streaming = results
-        # The streaming counter is exact (strictly-below semantics match
-        # ECDF.fraction_below).
-        assert streaming.fraction_tx_under_10kb_estimate == pytest.approx(
-            batch.fraction_tx_under_10kb
-        )
-
-    def test_reservoir_quantiles_close(self, small_dataset):
-        batch = analyze_activity(small_dataset)
-        streaming = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(iter(small_dataset.proxy_records))
-        for q in (0.25, 0.5, 0.9):
-            assert streaming.quantile(q) == pytest.approx(
-                batch.transaction_sizes.quantile(q), rel=0.35
-            )
-
-    def test_empty_stream_raises(self, small_dataset):
-        empty = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        )
-        with pytest.raises(ValueError, match="no wearable"):
-            empty.result()
-
-
 class TestNonMidnightStudyStart:
-    """Regression: streaming hour buckets must be wall-clock hours.
+    """Regression: folded hour buckets must be wall-clock hours.
 
-    ``StreamingActivity.add`` used to bucket hours with
+    A one-pass activity fold once bucketed hours with
     ``(ts - study_start) % 86_400 // 3_600``, which only matches the batch
     analysis (``hour_of_day``) when ``study_start`` is midnight-aligned.
     With a 05:30 study start, two transactions inside the same wall-clock
@@ -143,6 +48,12 @@ class TestNonMidnightStudyStart:
             window=window,
         )
 
+    @staticmethod
+    def _fold(dataset):
+        partial = ActivityPartial.create(0, 0)
+        partial.consume(dataset)
+        return partial.finalize(dataset.window)
+
     def test_same_wall_clock_hour_is_one_active_hour(self, wearable_imei):
         """01:00 and 01:30 on the same day are ONE active hour.
 
@@ -161,11 +72,7 @@ class TestNonMidnightStudyStart:
             for offset in (0.0, 1800.0)
         ]
         dataset = self._dataset(records)
-        streaming = (
-            StreamingActivity(dataset.window, dataset.wearable_tacs)
-            .consume(records)
-            .result()
-        )
+        streaming = self._fold(dataset)
         assert streaming.mean_active_hours_per_day == 1.0
         batch = analyze_activity(dataset)
         assert streaming.mean_active_hours_per_day == pytest.approx(
@@ -194,12 +101,8 @@ class TestNonMidnightStudyStart:
                     )
         dataset = self._dataset(records)
         batch = analyze_activity(dataset)
-        streaming = (
-            StreamingActivity(dataset.window, dataset.wearable_tacs)
-            .consume(records)
-            .result()
-        )
-        assert streaming.transactions == len(batch.transaction_sizes)
+        streaming = self._fold(dataset)
+        assert len(streaming.transaction_sizes) == len(batch.transaction_sizes)
         assert streaming.mean_tx_bytes == pytest.approx(batch.mean_tx_bytes)
         assert streaming.mean_active_days_per_week == pytest.approx(
             batch.mean_active_days_per_week
@@ -215,98 +118,48 @@ class TestReservoirSeedConvention:
     identical sample pattern.  It is now derived from the study seed and
     shard id via the engine's ``seed:concern:key`` stream convention."""
 
-    def _consume(self, dataset, *, seed, shard, size=8):
-        return (
-            StreamingActivity(
-                dataset.window,
-                dataset.wearable_tacs,
-                reservoir_size=size,
-                seed=seed,
-                shard=shard,
-            )
-            .consume(iter(dataset.proxy_records))
-            ._reservoir.sample
-        )
+    def _sample(self, *, seed, shard):
+        reservoir = ActivityPartial.create(seed, shard).reservoir
+        reservoir.extend(float(value) for value in range(2 * RESERVOIR_SIZE))
+        return reservoir.sample
 
-    def test_shards_draw_different_samples(self, small_dataset):
-        a = self._consume(small_dataset, seed=7, shard=0)
-        b = self._consume(small_dataset, seed=7, shard=1)
+    def test_shards_draw_different_samples(self):
+        a = self._sample(seed=7, shard=0)
+        b = self._sample(seed=7, shard=1)
         assert a != b
 
-    def test_fixed_seed_and_shard_reproducible(self, small_dataset):
-        one = self._consume(small_dataset, seed=7, shard=3)
-        two = self._consume(small_dataset, seed=7, shard=3)
+    def test_fixed_seed_and_shard_reproducible(self):
+        one = self._sample(seed=7, shard=3)
+        two = self._sample(seed=7, shard=3)
         assert one == two
 
-    def test_seed_changes_sample(self, small_dataset):
-        a = self._consume(small_dataset, seed=7, shard=0)
-        b = self._consume(small_dataset, seed=8, shard=0)
+    def test_seed_changes_sample(self):
+        a = self._sample(seed=7, shard=0)
+        b = self._sample(seed=8, shard=0)
         assert a != b
 
 
 class TestStreamingMergeDifferential:
-    """Streaming aggregators split by account shard then merged must
+    """The weekly aggregator split by account shard then merged must
     agree with one aggregator consuming the whole stream."""
 
-    def _sharded(self, dataset, cls, n=3, **kwargs):
-        from repro.logs.io import shard_keep_predicate
-
-        parts = []
-        for shard in range(n):
-            keep = shard_keep_predicate(
-                shard, n, dataset.account_directory
-            )
-            agg = cls(dataset.window, dataset.wearable_tacs, **kwargs)
-            if cls is StreamingAdoption:
-                agg.consume(
-                    (r for r in dataset.mme_records if keep(r)),
-                    (r for r in dataset.proxy_records if keep(r)),
-                )
-            else:
-                agg.consume(r for r in dataset.proxy_records if keep(r))
-            parts.append(agg)
-        merged = parts[0]
-        for other in parts[1:]:
-            merged.merge(other)
-        return merged
-
-    def test_adoption_merge_exact(self, small_dataset):
-        whole = StreamingAdoption(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(
-            iter(small_dataset.mme_records), iter(small_dataset.proxy_records)
-        )
-        merged = self._sharded(small_dataset, StreamingAdoption)
-        assert merged.result() == whole.result()
-
     def test_weekly_merge_exact(self, small_dataset):
-        from repro.core.streaming import StreamingWeekly
+        from repro.logs.io import shard_keep_predicate
 
         whole = StreamingWeekly(
             small_dataset.window, small_dataset.wearable_tacs
         ).consume(iter(small_dataset.proxy_records))
-        merged = self._sharded(small_dataset, StreamingWeekly)
+        parts = []
+        for shard in range(3):
+            keep = shard_keep_predicate(
+                shard, 3, small_dataset.account_directory
+            )
+            parts.append(
+                StreamingWeekly(
+                    small_dataset.window, small_dataset.wearable_tacs
+                ).consume(r for r in small_dataset.proxy_records if keep(r))
+            )
+        merged = parts[0]
+        for other in parts[1:]:
+            merged.merge(other)
         assert merged.result() == whole.result()
-
-    def test_activity_merge_exact_aggregates(self, small_dataset):
-        whole = StreamingActivity(
-            small_dataset.window, small_dataset.wearable_tacs
-        ).consume(iter(small_dataset.proxy_records))
-        merged = self._sharded(small_dataset, StreamingActivity)
-        w, m = whole.result(), merged.result()
-        assert m.transactions == w.transactions
-        assert m.total_bytes == w.total_bytes  # exact-sum merge
-        assert m.distinct_users == w.distinct_users
-        # Welford means fold in partition order: ~1e-12 agreement, the
-        # documented order-sensitive tier (the *total* stays exact).
-        assert m.mean_tx_bytes == pytest.approx(w.mean_tx_bytes, rel=1e-12)
-        assert m.mean_active_days_per_week == pytest.approx(
-            w.mean_active_days_per_week, rel=1e-12
-        )
-        assert m.mean_active_hours_per_day == pytest.approx(
-            w.mean_active_hours_per_day, rel=1e-12
-        )
-        # Estimators carry bands, not exactness.
-        assert m.median_tx_bytes_estimate == pytest.approx(
-            w.median_tx_bytes_estimate, rel=0.25
-        )

@@ -1,19 +1,15 @@
 """Unit tests for :mod:`repro.logs.binfmt` — the binary columnar format.
 
 Covers the wire contract (framed blocks, embedded schema, strict
-magic/version rejection), byte determinism, the numpy/pure-python
-fastpath parity, block skipping against the per-block shard bitmap, and
-lenient ingestion semantics (truncated tails with exact row accounting,
+magic/version rejection), byte determinism, shard-filtered and
+time-range reads, and lenient ingestion semantics (truncated tails with exact row accounting,
 mid-file garbage resync).
 """
 
 import gzip
 import struct
-import zlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.logs import binfmt
 from repro.logs.binfmt import (
@@ -24,7 +20,6 @@ from repro.logs.binfmt import (
     bucket_of,
     file_header_bytes,
     read_bin_records,
-    read_bin_records_shard,
     write_bin_records,
 )
 from repro.logs.io import LogReadError, shard_keep_predicate
@@ -128,38 +123,6 @@ class TestDeterminism:
         gzip.decompress(payload)  # and it is a complete member
 
 
-class TestNumpyParity:
-    @pytest.fixture()
-    def flip(self):
-        original = binfmt.USE_NUMPY
-        yield
-        binfmt.USE_NUMPY = original
-
-    def test_encode_bytes_identical(self, tmp_path, flip):
-        if not binfmt.USE_NUMPY:
-            pytest.skip("numpy not available")
-        records = proxy_records(300)
-        binfmt.USE_NUMPY = True
-        fast = tmp_path / "fast.bin"
-        write_bin_records(fast, records, ProxyRecord)
-        binfmt.USE_NUMPY = False
-        slow = tmp_path / "slow.bin"
-        write_bin_records(slow, records, ProxyRecord)
-        assert fast.read_bytes() == slow.read_bytes()
-
-    def test_decode_results_identical(self, tmp_path, flip):
-        if not binfmt.USE_NUMPY:
-            pytest.skip("numpy not available")
-        records = mme_records(300)
-        path = tmp_path / "mme.bin"
-        write_bin_records(path, records, MmeRecord)
-        binfmt.USE_NUMPY = True
-        fast = list(read_bin_records(path, MmeRecord))
-        binfmt.USE_NUMPY = False
-        slow = list(read_bin_records(path, MmeRecord))
-        assert fast == slow == records
-
-
 class TestStrictRejection:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "proxy.bin"
@@ -232,7 +195,7 @@ class TestShardedReads:
         union = []
         for shard in range(shards):
             union.extend(
-                read_bin_records_shard(path, ProxyRecord, shard, shards)
+                read_bin_records(path, ProxyRecord, shard=shard, shards=shards)
             )
         keep_sets = [
             shard_keep_predicate(s, shards, None) for s in range(shards)
@@ -249,7 +212,7 @@ class TestShardedReads:
         keep = shard_keep_predicate(1, 4, None)
         expected = [r for r in records if keep(r)]
         assert list(
-            read_bin_records_shard(path, ProxyRecord, 1, 4)
+            read_bin_records(path, ProxyRecord, shard=1, shards=4)
         ) == expected
 
     def test_time_range_skip(self, tmp_path):
@@ -265,14 +228,10 @@ class TestShardedReads:
 
 
 class TestShardSkipperFold:
-    """The gcd generalisation of the bucket-bitmap block filter.
-
-    Regression: the skipper used to assume ``256 % shards == 0`` and
-    silently mis-skipped blocks for other shard counts.  The fold rule —
-    bucket ``b`` may hold shard ``s`` iff ``(s - b) % gcd(256, shards)
-    == 0`` — must be *conservative* for every shard count and *exact*
-    when shards divides 256.
-    """
+    """Regression: a subscriber-bucket block skipper (since removed) once
+    assumed ``256 % shards == 0`` and silently dropped rows for other
+    shard counts.  Sharded reads must match the row-level filter for
+    every shard count."""
 
     NON_DIVISORS = [3, 5, 6, 7, 9]
 
@@ -285,55 +244,9 @@ class TestShardSkipperFold:
             keep = shard_keep_predicate(shard, shards, None)
             expected = [r for r in records if keep(r)]
             got = list(
-                read_bin_records_shard(path, ProxyRecord, shard, shards)
+                read_bin_records(path, ProxyRecord, shard=shard, shards=shards)
             )
             assert got == expected, f"shard {shard}/{shards}"
-
-    @pytest.mark.parametrize("shards", [3, 5, 7, 9])
-    def test_odd_shard_counts_disable_the_filter(self, shards):
-        # gcd(256, odd) == 1: no bucket can be excluded, so the skipper
-        # declines rather than testing bitmaps that always match.
-        assert binfmt._shard_block_skipper(0, shards, None) is None
-
-    def test_directory_keyed_partitions_disable_the_filter(self):
-        assert binfmt._shard_block_skipper(0, 4, {"s1": "a"}) is None
-
-    @given(
-        subscriber=st.text(min_size=1, max_size=12),
-        shards=st.sampled_from([2, 4, 6, 8, 10, 12, 16, 64, 256]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_skipper_is_conservative(self, subscriber, shards):
-        # A block whose bitmap holds only this subscriber's bucket must
-        # never be skipped by the shard that owns the subscriber.
-        shard = zlib.crc32(subscriber.encode("utf-8")) % shards
-        skip = binfmt._shard_block_skipper(shard, shards, None)
-        if skip is None:
-            return
-        bitmap = (1 << bucket_of(subscriber)).to_bytes(32, "little")
-        assert not skip(bitmap)
-
-    @pytest.mark.parametrize("shards", [2, 4, 8, 16])
-    def test_divisor_shard_counts_filter_exactly(self, shards):
-        # shards | 256: bucket % shards fully determines the shard, so
-        # the skipper keeps exactly the buckets of that residue class.
-        for shard in range(shards):
-            skip = binfmt._shard_block_skipper(shard, shards, None)
-            for bucket in range(256):
-                bitmap = (1 << bucket).to_bytes(32, "little")
-                assert skip(bitmap) == (bucket % shards != shard)
-
-    def test_even_non_divisor_skips_half_the_buckets(self):
-        # shards=6 → gcd 2: the parity of the bucket survives the fold,
-        # so each shard keeps exactly the 128 buckets of its parity.
-        skip = binfmt._shard_block_skipper(1, 6, None)
-        assert skip is not None
-        kept = [
-            bucket
-            for bucket in range(256)
-            if not skip((1 << bucket).to_bytes(32, "little"))
-        ]
-        assert kept == [b for b in range(256) if b % 2 == 1]
 
 
 class TestLenientIngestion:
@@ -423,8 +336,8 @@ class TestLenientIngestion:
         assert excinfo.value.code == "truncated"
 
     def test_lenient_never_block_skips(self, tmp_path):
-        """Shard reads with a collector still see every row (exact
-        quarantine accounting trumps the skip optimisation)."""
+        """Shard reads with a collector still count every row, so the
+        quarantine accounting stays exact."""
         records = proxy_records(300)
         path = tmp_path / "proxy.bin"
         write_bin_records(path, records, ProxyRecord, block_rows=32)

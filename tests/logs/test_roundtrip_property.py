@@ -3,7 +3,7 @@
 Two families of properties:
 
 * every record the type system admits survives a write/read cycle through
-  the CSV and JSONL codecs, plain and gzip-compressed, field-for-field —
+  the CSV codec, plain and gzip-compressed, field-for-field —
   including unicode SNI hosts, empty paths, and extreme-but-finite
   timestamps;
 * ``corrupt_trace`` with all rates at zero is a byte-identical no-op for
@@ -19,12 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.logs.faults import FaultSpec, corrupt_trace
-from repro.logs.io import (
-    read_csv_records,
-    read_jsonl_records,
-    write_csv_records,
-    write_jsonl_records,
-)
+from repro.logs.io import read_csv_records, write_csv_records
 from repro.logs.records import (
     _VALID_EVENTS,
     _VALID_PROTOCOLS,
@@ -77,10 +72,6 @@ def _write_csv(path, records, record_type):
     write_csv_records(path, records, names)
 
 
-def _write_jsonl(path, records, record_type):
-    write_jsonl_records(path, records)
-
-
 def _roundtrip(records, record_type, *, suffix, writer, reader):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"log{suffix}"
@@ -90,7 +81,6 @@ def _roundtrip(records, record_type, *, suffix, writer, reader):
 
 _CODECS = [
     pytest.param(_write_csv, read_csv_records, id="csv"),
-    pytest.param(_write_jsonl, read_jsonl_records, id="jsonl"),
 ]
 _SUFFIXES = [
     pytest.param("", id="plain"),
@@ -104,7 +94,7 @@ class TestRecordRoundTrips:
     @settings(deadline=None, max_examples=60)
     @given(records=st.lists(proxy_records, min_size=1, max_size=8))
     def test_proxy_roundtrip(self, records, writer, reader, gz):
-        suffix = f".{'csv' if writer is _write_csv else 'jsonl'}{gz}"
+        suffix = f".csv{gz}"
         restored = _roundtrip(
             records, ProxyRecord, suffix=suffix, writer=writer, reader=reader
         )
@@ -115,7 +105,7 @@ class TestRecordRoundTrips:
     @settings(deadline=None, max_examples=60)
     @given(records=st.lists(mme_records, min_size=1, max_size=8))
     def test_mme_roundtrip(self, records, writer, reader, gz):
-        suffix = f".{'csv' if writer is _write_csv else 'jsonl'}{gz}"
+        suffix = f".csv{gz}"
         restored = _roundtrip(
             records, MmeRecord, suffix=suffix, writer=writer, reader=reader
         )
