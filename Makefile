@@ -30,8 +30,8 @@ coverage:
 ## and prove quarantine-and-continue ingestion survives it end to end.
 chaos:
 	$(PYTEST) tests/logs/test_faults.py tests/logs/test_quarantine.py \
-	    tests/logs/test_roundtrip_property.py tests/test_chaos.py \
-	    tests/chaos/ -q
+	    tests/logs/test_roundtrip_property.py tests/logs/test_csv_decode.py \
+	    tests/test_chaos.py tests/chaos/ -q
 
 ## Continuous chaos soak: EPISODES seeded episodes of simulate ->
 ## corrupt -> lenient-analyze per wire format (csv.gz and bin) under the

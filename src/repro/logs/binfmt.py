@@ -90,8 +90,8 @@ from repro.logs.quarantine import QuarantineCollector
 from repro.logs.records import (
     MmeRecord,
     ProxyRecord,
-    _VALID_EVENTS,
-    _VALID_PROTOCOLS,
+    _batch_maker,
+    _block_valid,
     fields_for,
 )
 from zlib import crc32
@@ -338,8 +338,7 @@ def _unpack_columns(
     return cols
 
 
-# -------------------------------------------------- fast record makers
-_BATCH_MAKERS: dict[type, Callable] = {}
+# ------------------------------------------------------ column getters
 _GETTERS: dict[type, list[Callable]] = {}
 
 
@@ -357,58 +356,6 @@ def _fast_getters(record_type: type) -> list[Callable]:
         ]
         _GETTERS[record_type] = getters
     return getters
-
-
-def _batch_maker(record_type: type) -> Callable:
-    """Columns-in, record-list-out constructor with the loop inlined.
-
-    Batch validation (:func:`_block_valid`) has already vetted the whole
-    block, so per-record ``__post_init__`` checks would only repeat work
-    8192 times per block.  The records are frozen slotted dataclasses;
-    binding each slot descriptor's ``__set__`` once beats
-    ``object.__setattr__``, which re-resolves the descriptor by name on
-    every call, and inlining the loop into one generated function drops
-    the per-record ``map`` dispatch as well.
-    """
-    maker = _BATCH_MAKERS.get(record_type)
-    if maker is not None:
-        return maker
-    names = fields_for(record_type)
-    args = ", ".join(f"c_{name}" for name in names)
-    row = ", ".join(names)
-    namespace = {"_new": object.__new__, "_cls": record_type, "_zip": zip}
-    lines = [
-        f"def make_all({args}):",
-        "    new = _new; cls = _cls",
-        "    out = []",
-        "    append = out.append",
-    ]
-    for name in names:
-        namespace[f"_set_{name}"] = getattr(record_type, name).__set__
-        lines.append(f"    set_{name} = _set_{name}")
-    lines.append(f"    for {row} in _zip({args}):")
-    lines.append("        r = new(cls)")
-    for name in names:
-        lines.append(f"        set_{name}(r, {name})")
-    lines.append("        append(r)")
-    lines.append("    return out")
-    exec("\n".join(lines), namespace)  # noqa: S102 - static, local template
-    maker = namespace["make_all"]
-    _BATCH_MAKERS[record_type] = maker
-    return maker
-
-
-def _block_valid(record_type: type, cols: Sequence[Sequence]) -> bool:
-    """Batch equivalent of the record ``__post_init__`` checks."""
-    if record_type is ProxyRecord:
-        return (
-            set(cols[5]) <= _VALID_PROTOCOLS
-            and all(cols[1])
-            and all(cols[3])
-            and min(cols[6]) >= 0
-            and min(cols[7]) >= 0
-        )
-    return set(cols[4]) <= _VALID_EVENTS and all(cols[1]) and all(cols[3])
 
 
 # -------------------------------------------------------------- writer

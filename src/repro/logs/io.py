@@ -26,8 +26,6 @@ import gzip
 import io
 import time
 from collections import deque
-from dataclasses import fields as dataclass_fields
-from functools import lru_cache
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Type, TypeVar
 from zlib import crc32
@@ -39,7 +37,10 @@ from repro.logs.records import (
     PROXY_FIELDS,
     MmeRecord,
     ProxyRecord,
+    _field_types,
     fields_for,
+    log_kind,
+    row_decoder,
 )
 
 RecordT = TypeVar("RecordT", ProxyRecord, MmeRecord)
@@ -114,15 +115,6 @@ class LogReadError(ValueError):
         self.line_number = line_number
         self.reason = reason
         self.code = code
-
-
-def log_kind(record_type: type) -> str:
-    """Short stream name used in issue codes (``proxy`` / ``mme``)."""
-    if record_type is ProxyRecord:
-        return "proxy"
-    if record_type is MmeRecord:
-        return "mme"
-    return record_type.__name__.lower()
 
 
 #: Human labels for per-row quarantine codes.
@@ -271,34 +263,13 @@ class _LenientLineSource:
         self._raw.close()
 
 
-@lru_cache(maxsize=None)
-def _field_types(record_type: Type[RecordT]) -> dict[str, type]:
-    """Map each dataclass field name to its concrete python type.
-
-    Cached per record type: :func:`_coerce_row` consults this map once per
-    *row*, and rebuilding it from the dataclass field metadata dominated
-    the read path (every call walks ``dataclasses.fields`` and does string
-    comparisons).  The map is tiny and immutable in practice, so an
-    unbounded cache keyed by the record class is safe.
-    """
-    types: dict[str, type] = {}
-    for spec in dataclass_fields(record_type):
-        if spec.type in ("float", float):
-            types[spec.name] = float
-        elif spec.type in ("int", int):
-            types[spec.name] = int
-        else:
-            types[spec.name] = str
-    return types
-
-
 def _coerce_row(
     record_type: Type[RecordT],
-    row: dict[str, str],
+    row: Mapping[str, str | None],
     path: Path,
     line_number: int,
 ) -> RecordT:
-    """Build one record from a string-valued mapping."""
+    """Build one record from a string-valued mapping, naming any defect."""
     types = _field_types(record_type)
     missing = [name for name in types if name not in row or row[name] is None]
     if missing:
@@ -320,6 +291,45 @@ def _coerce_row(
         return record_type(**converted)  # type: ignore[arg-type]
     except ValueError as exc:
         raise LogReadError(path, line_number, str(exc), code="value") from exc
+
+
+def _defer_row(values: list[str]) -> None:
+    """Decoder under a non-canonical header: every row takes the slow path."""
+    return None
+
+
+def _decoder_for(
+    record_type: Type[RecordT], header: list[str]
+) -> Callable[[list[str]], RecordT | None]:
+    """The positional decoder for rows under ``header``.
+
+    Only a header in the canonical field order (:func:`fields_for`) maps
+    columns to fields by position; under any other header (reordered,
+    renamed, blank) every row goes to :func:`_decode_slow`.
+    """
+    if tuple(header) == fields_for(record_type):
+        return row_decoder(record_type)
+    return _defer_row
+
+
+def _decode_slow(
+    record_type: Type[RecordT],
+    header: list[str],
+    values: list[str],
+    path: Path,
+    line_number: int,
+) -> RecordT:
+    """Decode a row the positional decoder declined, raising on defects.
+
+    The row is mapped onto the header the way the csv module's dict
+    reader maps it (missing trailing columns read as ``None``, extra ones
+    are ignored), so issue codes and messages do not depend on which
+    path a row took.
+    """
+    row: dict[str, str | None] = dict(zip(header, values))
+    for name in header[len(values) :]:
+        row[name] = None
+    return _coerce_row(record_type, row, path, line_number)
 
 
 def _account_stream_death(
@@ -431,37 +441,50 @@ def read_csv_records(
     try:
         if quarantine is None:
             with _open_text(source, "r") as handle:
-                reader = csv.DictReader(handle)
-                if reader.fieldnames is None:
+                rows = csv.reader(handle)
+                header = next(rows, None)
+                if header is None:
                     raise LogReadError(
                         source, 1, "empty file (no header row)", code="truncated"
                     )
-                for line_number, row in enumerate(reader, start=2):
-                    yield _coerce_row(record_type, row, source, line_number)
+                decode = _decoder_for(record_type, header)
+                for line_number, values in enumerate(filter(None, rows), 2):
+                    record = decode(values)
+                    if record is None:
+                        record = _decode_slow(
+                            record_type, header, values, source, line_number
+                        )
+                    yield record
                     rows_out += 1
             return
         lines = _LenientLineSource(source)
         try:
-            reader = csv.DictReader(lines)
-            if reader.fieldnames is None:
+            rows = csv.reader(lines)
+            header = next(rows, None)
+            if header is None:
                 quarantine.note(
                     f"{kind}-truncated",
                     "log file empty (no header row)",
                     str(source),
                 )
                 return
-            for line_number, row in enumerate(reader, start=2):
+            decode = _decoder_for(record_type, header)
+            for line_number, values in enumerate(filter(None, rows), 2):
                 quarantine.saw_row(kind)
-                try:
-                    record = _coerce_row(record_type, row, source, line_number)
-                except LogReadError as exc:
-                    quarantine.quarantine_row(
-                        kind,
-                        f"{kind}-{exc.code}",
-                        _ROW_MESSAGES.get(exc.code, "unparseable row"),
-                        f"{source.name}:{line_number}: {exc.reason}",
-                    )
-                    continue
+                record = decode(values)
+                if record is None:
+                    try:
+                        record = _decode_slow(
+                            record_type, header, values, source, line_number
+                        )
+                    except LogReadError as exc:
+                        quarantine.quarantine_row(
+                            kind,
+                            f"{kind}-{exc.code}",
+                            _ROW_MESSAGES.get(exc.code, "unparseable row"),
+                            f"{source.name}:{line_number}: {exc.reason}",
+                        )
+                        continue
                 yield record
                 rows_out += 1
         finally:

@@ -8,7 +8,7 @@ Each sample is attributed to the innermost open :class:`~repro.obs.
 spans.Tracer` span on the sampled thread (the tracer keeps a
 thread→span-path registry exactly for this), so the resulting profile
 reads as "inside ``analyze.shard[shard=2]``, 61% of samples were in
-``repro.logs.io:_coerce_row``".
+``repro.logs.io:read_csv_records``".
 
 Design constraints, in order:
 

@@ -40,7 +40,8 @@ from repro import obs
 from repro.logs.io import (
     LogReadError,
     _ROW_MESSAGES,
-    _coerce_row,
+    _decode_slow,
+    _decoder_for,
     log_kind,
 )
 from repro.logs.quarantine import QuarantineCollector
@@ -259,29 +260,34 @@ class StreamTailer:
 
     def _parse_rows(self, path: Path, rows) -> list:
         records: list = []
-        for values in rows:
-            if not values:
-                continue
-            if self._header is None:
-                self._header = values
+        header = self._header
+        if header is not None:
+            decode = _decoder_for(self.record_type, header)
+        for values in filter(None, rows):
+            if header is None:
+                header = self._header = values
+                decode = _decoder_for(self.record_type, header)
                 continue
             number = self._line_number
             self._line_number += 1
             if self.quarantine is not None:
                 self.quarantine.saw_row(self.kind)
-            row = dict(zip(self._header, values))
-            try:
-                record = _coerce_row(self.record_type, row, path, number)
-            except LogReadError as exc:
-                if self.quarantine is None:
-                    raise
-                self.quarantine.quarantine_row(
-                    self.kind,
-                    f"{self.kind}-{exc.code}",
-                    _ROW_MESSAGES.get(exc.code, "unparseable row"),
-                    f"{path.name}:{number}: {exc.reason}",
-                )
-                continue
+            record = decode(values)
+            if record is None:
+                try:
+                    record = _decode_slow(
+                        self.record_type, header, values, path, number
+                    )
+                except LogReadError as exc:
+                    if self.quarantine is None:
+                        raise
+                    self.quarantine.quarantine_row(
+                        self.kind,
+                        f"{self.kind}-{exc.code}",
+                        _ROW_MESSAGES.get(exc.code, "unparseable row"),
+                        f"{path.name}:{number}: {exc.reason}",
+                    )
+                    continue
             self._parsed += 1
             if self.scrub is not None:
                 record = self.scrub(record)
